@@ -1,7 +1,8 @@
 // CART decision-tree classifier (Gini impurity, binary splits on
-// continuous features). This is the classification model of the paper's
-// preliminary implementation: "In our first implementation, we used
-// decision trees as classification model" (§IV-A) — trained to
+// continuous features, presorted sparse-aware split search). This is
+// the classification model of the paper's preliminary implementation:
+// "In our first implementation, we used decision trees as
+// classification model" (§IV-A) — trained to
 // re-predict cluster labels from the clustering input features, its CV
 // metrics measure cluster robustness.
 #ifndef ADAHEALTH_ML_DECISION_TREE_H_
@@ -54,10 +55,18 @@ class DecisionTreeClassifier final : public Classifier {
     bool is_leaf() const { return left < 0; }
   };
 
+  /// Per-Fit presorted feature order and split-search scratch (defined
+  /// in decision_tree.cc).
+  struct Presort;
+
+  /// Grows the subtree over sample_ids[begin, end). `segment_begin[f]`
+  /// / `segment_end[f]` bound the node's nonzero entries of feature f
+  /// in the presort.
   int32_t BuildNode(const transform::Matrix& features,
-                    const std::vector<int32_t>& labels,
-                    std::vector<size_t>& sample_ids, size_t begin, size_t end,
-                    int32_t depth);
+                    const std::vector<int32_t>& labels, Presort& presort,
+                    size_t begin, size_t end,
+                    std::span<const size_t> segment_begin,
+                    std::span<const size_t> segment_end, int32_t depth);
 
   DecisionTreeOptions options_;
   int32_t num_classes_ = 0;

@@ -214,6 +214,8 @@ StatusOr<JobId> Scheduler::Submit(JobRequest request) {
                             MillisToDuration(request.deadline_millis)
                       : std::chrono::steady_clock::time_point::max();
   job->request = std::move(request);
+  stats_.held_input_records +=
+      static_cast<int64_t>(job->request.log.num_records());
   pending_.emplace(-static_cast<int64_t>(job->request.priority), id);
   jobs_.emplace(id, std::move(job));
   ++stats_.submitted;
@@ -563,6 +565,14 @@ void Scheduler::FinishJob(Job& job, JobState state, common::Status status,
   common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   job.state = state;
   job.status = std::move(status);
+  // A terminal job is never run again: supersede and deadline checks
+  // look only at queued jobs, and on_session_success has already fired.
+  // Dropping the input keeps memory bounded by the backlog rather than
+  // growing with every job served; the snapshot fields stay.
+  stats_.held_input_records -=
+      static_cast<int64_t>(job.request.log.num_records());
+  job.request.log = dataset::ExamLog();
+  job.request.taxonomy.reset();
   switch (state) {
     case JobState::kDone:
       ++stats_.completed;

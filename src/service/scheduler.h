@@ -160,6 +160,10 @@ struct SchedulerStats {
   int64_t shed = 0;               // Admission-time rejections.
   int64_t cache_served = 0;       // kDone answered by the cache.
   int64_t sessions_executed = 0;  // Actual AnalysisSession::Run calls.
+  /// Exam records still held by job inputs. A job keeps its input log
+  /// and taxonomy only until it is terminal, so this tracks the queued
+  /// and running backlog, not the number of jobs ever served.
+  int64_t held_input_records = 0;
   size_t queue_depth = 0;
   size_t active_workers = 0;
 };
@@ -282,10 +286,11 @@ class Scheduler {
   [[nodiscard]] bool SpawnWorkersLocked() ADA_REQUIRES(mutex_);
   void DrainLoop() ADA_EXCLUDES(mutex_);
   void RunJob(Job& job) ADA_EXCLUDES(mutex_);
-  /// Moves the job to a terminal state and appends its subscriptions
-  /// to `notifications` instead of firing them — callbacks run outside
-  /// the lock (see Subscribe), so every caller drains the vector with
-  /// FireNotifications after unlocking.
+  /// Moves the job to a terminal state, releases its input log and
+  /// taxonomy (nothing reads them after this), and appends its
+  /// subscriptions to `notifications` instead of firing them —
+  /// callbacks run outside the lock (see Subscribe), so every caller
+  /// drains the vector with FireNotifications after unlocking.
   void FinishJob(Job& job, JobState state, common::Status status,
                  std::vector<Notification>* notifications)
       ADA_REQUIRES(mutex_);
@@ -299,11 +304,13 @@ class Scheduler {
   mutable common::Mutex mutex_;
   common::CondVar state_changed_;  // Terminal transitions.
   common::CondVar workers_idle_;   // Worker retirement.
-  /// Jobs are created at admission and never erased. The map itself is
-  /// guarded; a kRunning job body is owned by the worker that dequeued
-  /// it, which reads the admission-time-immutable fields (request,
-  /// fingerprint) without the lock and re-acquires mutex_ for every
-  /// mutation. Everyone else observes jobs via Snapshot() under the
+  /// Jobs are created at admission and never erased; FinishJob drops a
+  /// job's input log and taxonomy, so a terminal job keeps only its
+  /// snapshot fields. The map itself is guarded; a kRunning job body is
+  /// owned by the worker that dequeued it, which reads the
+  /// admission-time-immutable fields (request, fingerprint) without the
+  /// lock and re-acquires mutex_ for every mutation — the last of which
+  /// is FinishJob. Everyone else observes jobs via Snapshot() under the
   /// lock.
   std::map<JobId, std::unique_ptr<Job>> jobs_ ADA_GUARDED_BY(mutex_);
   std::set<PendingKey> pending_ ADA_GUARDED_BY(mutex_);

@@ -53,7 +53,9 @@ TEST(CalinskiHarabaszTest, TrueLabelingBeatsRandom) {
 /// labeling on every index (SSE lower, OS/silhouette/CH higher, DB
 /// lower).
 struct IndexSweepCase {
-  int32_t k;
+  // 64-bit so the struct has no padding bytes: gtest names each case by
+  // the bytes of its value, and padding would make the names vary.
+  int64_t k;
   size_t per_cluster;
   double spread;
   uint64_t seed;
@@ -70,7 +72,7 @@ TEST_P(QualityIndexSweep, AllIndicesPreferTrueStructure) {
   test::Blobs blobs =
       test::MakeBlobs(centers, param.per_cluster, param.spread, param.seed);
   KMeansOptions options;
-  options.k = param.k;
+  options.k = static_cast<int32_t>(param.k);
   options.seed = param.seed + 1;
   auto clustering = RunKMeans(blobs.points, options);
   ASSERT_TRUE(clustering.ok());

@@ -272,6 +272,51 @@ TEST(SchedulerTest, RepeatSubmissionServedFromCacheWithoutSecondRun) {
   EXPECT_EQ(scheduler.cache().hits(), 1);
 }
 
+TEST(SchedulerTest, TerminalJobsReleaseTheirInputRecords) {
+  service::SchedulerOptions options;
+  options.max_workers = 1;
+  options.start_paused = true;
+  service::Scheduler scheduler(options);
+
+  // Three queued jobs over the same data: one will run a session, one
+  // will be served from the cache it fills, one is cancelled first.
+  const int64_t records =
+      static_cast<int64_t>(MakeJob(32, "release").log.num_records());
+  auto ran = scheduler.Submit(MakeJob(32, "release"));
+  auto cached = scheduler.Submit(MakeJob(32, "release"));
+  auto cancelled = scheduler.Submit(MakeJob(32, "release"));
+  ASSERT_TRUE(ran.ok() && cached.ok() && cancelled.ok());
+  EXPECT_EQ(scheduler.stats().held_input_records, 3 * records);
+
+  ASSERT_TRUE(scheduler.Cancel(cancelled.value()).ok());
+  EXPECT_EQ(scheduler.stats().held_input_records, 2 * records);
+
+  scheduler.Resume();
+  auto ran_result = scheduler.AwaitResult(ran.value());
+  auto cached_result = scheduler.AwaitResult(cached.value());
+  ASSERT_TRUE(ran_result.ok() && cached_result.ok());
+  ASSERT_EQ(ran_result->state, service::JobState::kDone);
+  ASSERT_EQ(cached_result->state, service::JobState::kDone);
+  EXPECT_FALSE(ran_result->cache_hit);
+  EXPECT_TRUE(cached_result->cache_hit);
+  EXPECT_EQ(scheduler.stats().held_input_records, 0);
+
+  // Status and result still answer from the kept snapshot fields.
+  auto ran_status = scheduler.Status(ran.value());
+  ASSERT_TRUE(ran_status.ok());
+  EXPECT_EQ(ran_status->state, service::JobState::kDone);
+  EXPECT_EQ(ran_status->dataset_id, "release");
+  EXPECT_FALSE(ran_status->report.empty());
+  EXPECT_EQ(ran_status->report, ran_result->report);
+  auto cached_again = scheduler.AwaitResult(cached.value());
+  ASSERT_TRUE(cached_again.ok());
+  EXPECT_EQ(cached_again->report, ran_result->report);
+  EXPECT_EQ(cached_again->fingerprint, ran_result->fingerprint);
+  auto cancelled_status = scheduler.Status(cancelled.value());
+  ASSERT_TRUE(cancelled_status.ok());
+  EXPECT_EQ(cancelled_status->state, service::JobState::kCancelled);
+}
+
 TEST(SchedulerTest, ConcurrentJobsAllCompleteAndStayDeterministic) {
   service::SchedulerOptions options;
   options.max_workers = 4;
