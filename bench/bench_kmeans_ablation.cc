@@ -6,9 +6,8 @@
 // assignments and SSE — a divergence is a hard failure (non-zero
 // exit), which is what the CI bench-smoke job keys on. A second table
 // ablates the accelerated engine's representation (sparse CSR vs
-// dense) against its instruction set (runtime-dispatched AVX2/FMA vs
-// pinned scalar), since the cohort VSM is the sparse regime the CSR
-// path targets. Also keeps the original A1 reference points (kd-tree
+// dense), since the cohort VSM is the sparse regime the CSR path
+// targets. Also keeps the original A1 reference points (kd-tree
 // filtering K-means, bisecting K-means, init strategies) for context.
 //
 // Writes BENCH_kmeans.json into the current working directory; run it
@@ -30,7 +29,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dataset/synthetic_cohort.h"
-#include "transform/simd_kernels.h"
 #include "transform/sparse_matrix.h"
 #include "transform/vsm.h"
 
@@ -97,19 +95,14 @@ EngineRun TimeEngine(const transform::Matrix& vsm, int32_t k, uint64_t seed,
 }
 
 /// One accelerated run with the representation pinned (sparse runs on
-/// the pre-built CSR form, so conversion cost is not in the timing)
-/// and the SIMD dispatch pinned to scalar when `scalar` asks for it.
+/// the pre-built CSR form, so conversion cost is not in the timing).
 EngineRun TimeVariant(const transform::Matrix& vsm,
                       const transform::CsrMatrix& csr, int32_t k,
-                      uint64_t seed, bool sparse, bool scalar) {
+                      uint64_t seed, bool sparse) {
   cluster::KMeansOptions options;
   options.k = k;
   options.seed = seed;
   options.engine = cluster::KMeansEngine::kAccelerated;
-  if (scalar) {
-    transform::simd::internal::SetIsaForTesting(
-        transform::simd::IsaLevel::kScalar);
-  }
   common::WallTimer timer;
   common::StatusOr<cluster::Clustering> clustering =
       common::InternalError("not run");
@@ -120,9 +113,7 @@ EngineRun TimeVariant(const transform::Matrix& vsm,
     options.representation = cluster::KMeansRepresentation::kDense;
     clustering = cluster::RunKMeans(vsm, options);
   }
-  const double millis = timer.ElapsedSeconds() * 1e3;
-  if (scalar) transform::simd::internal::ResetIsaForTesting();
-  return Finish(std::move(clustering), millis, k);
+  return Finish(std::move(clustering), timer.ElapsedSeconds() * 1e3, k);
 }
 
 bool Identical(const cluster::Clustering& a, const cluster::Clustering& b) {
@@ -135,7 +126,6 @@ int Run() {
   const transform::Matrix vsm = CohortVsm(smoke);
   const transform::CsrMatrix csr = transform::CsrMatrix::FromDense(vsm);
   const double density = csr.Density();
-  const char* isa = transform::simd::IsaName(transform::simd::ActiveIsa());
   const std::vector<int32_t> ks =
       smoke ? std::vector<int32_t>{4, 8}
             : std::vector<int32_t>{2, 3, 4, 5, 6, 7, 8, 9, 10};
@@ -144,9 +134,9 @@ int Run() {
             : std::vector<uint64_t>{20160516, 7, 42};
 
   std::printf(
-      "=== Ablation A1: k-means engines (%zu x %zu VSM, %.2f%% nnz, "
-      "isa=%s%s) ===\n",
-      vsm.rows(), vsm.cols(), density * 100.0, isa,
+      "=== Ablation A1: k-means engines (%zu x %zu VSM, %.2f%% nnz%s) "
+      "===\n",
+      vsm.rows(), vsm.cols(), density * 100.0,
       smoke ? ", smoke config" : "");
   std::printf("%-4s %-12s %-11s %-11s %-8s %-6s %-14s %s\n", "K", "seed",
               "naive(ms)", "accel(ms)", "speedup", "iters", "skipped",
@@ -208,45 +198,30 @@ int Run() {
       row["parallel_chunks"] = chunks;
       results.push_back(common::Json(std::move(row)));
 
-      // Representation x ISA ablation of the accelerated engine (first
-      // seed only): sparse CSR vs dense, dispatched SIMD vs pinned
-      // scalar. dense+scalar is the engine as it existed before the
-      // sparse/SIMD work; sparse+simd is today's default on this VSM.
+      // Representation ablation of the accelerated engine (first seed
+      // only): dense is the engine as it existed before the sparse
+      // work; sparse is today's default on this VSM.
       if (seed != seeds[0]) continue;
-      struct Variant {
-        const char* name;
-        bool sparse;
-        bool scalar;
-      };
-      const Variant variants[] = {
-          {"dense+scalar", false, true},
-          {"dense+simd", false, false},
-          {"sparse+scalar", true, true},
-          {"sparse+simd", true, false},
-      };
-      double dense_scalar_ms = 0.0;
-      for (const Variant& variant : variants) {
-        EngineRun run =
-            TimeVariant(vsm, csr, k, seed, variant.sparse, variant.scalar);
+      double dense_ms = 0.0;
+      for (const bool sparse : {false, true}) {
+        const char* variant = sparse ? "sparse" : "dense";
+        EngineRun run = TimeVariant(vsm, csr, k, seed, sparse);
         const bool variant_identical =
             Identical(naive.clustering, run.clustering);
         all_identical = all_identical && variant_identical;
-        if (!variant.sparse && variant.scalar) dense_scalar_ms = run.millis;
-        if (variant.sparse && !variant.scalar && run.millis > 0.0 &&
-            dense_scalar_ms > 0.0) {
-          log_ablation_sum += std::log(dense_scalar_ms / run.millis);
+        if (!sparse) dense_ms = run.millis;
+        if (sparse && run.millis > 0.0 && dense_ms > 0.0) {
+          log_ablation_sum += std::log(dense_ms / run.millis);
           ++ablation_runs;
         }
-        std::printf("     %-16s %-11.1f %-8.2f %s\n", variant.name,
+        std::printf("     %-16s %-11.1f %-8.2f %s\n", variant,
                     run.millis,
                     run.millis > 0.0 ? naive.millis / run.millis : 0.0,
                     variant_identical ? "yes" : "NO  <-- DIVERGENCE");
         common::Json::Object arow;
         arow["k"] = static_cast<int64_t>(k);
         arow["seed"] = static_cast<int64_t>(seed);
-        arow["variant"] = std::string(variant.name);
-        arow["representation"] = variant.sparse ? "sparse" : "dense";
-        arow["isa"] = variant.scalar ? "scalar" : isa;
+        arow["representation"] = variant;
         arow["millis"] = run.millis;
         arow["speedup_vs_naive"] =
             run.millis > 0.0 ? naive.millis / run.millis : 0.0;
@@ -261,8 +236,8 @@ int Run() {
       ablation_runs > 0
           ? std::exp(log_ablation_sum / static_cast<double>(ablation_runs))
           : 0.0;
-  std::printf("geomean speedup: %.2fx (min %.2fx); sparse+simd vs "
-              "dense+scalar accel: %.2fx\n",
+  std::printf("geomean speedup: %.2fx (min %.2fx); sparse vs dense "
+              "accel: %.2fx\n",
               geomean_speedup, min_speedup, ablation_geomean);
 
   // Reference points: the kd-tree filtering engine and bisecting
@@ -328,7 +303,6 @@ int Run() {
     config["rows"] = static_cast<int64_t>(vsm.rows());
     config["cols"] = static_cast<int64_t>(vsm.cols());
     config["nnz_density"] = density;
-    config["dispatched_isa"] = std::string(isa);
     config["smoke"] = smoke;
     common::Json::Array k_array;
     for (int32_t k : ks) k_array.push_back(static_cast<int64_t>(k));
@@ -343,10 +317,8 @@ int Run() {
     common::Json::Object summary;
     summary["geomean_speedup"] = geomean_speedup;
     summary["min_speedup"] = min_speedup;
-    summary["ablation_geomean_sparse_simd_vs_dense_scalar"] =
-        ablation_geomean;
+    summary["ablation_geomean_sparse_vs_dense"] = ablation_geomean;
     summary["nnz_density"] = density;
-    summary["dispatched_isa"] = std::string(isa);
     summary["all_identical"] = all_identical;
     doc["summary"] = common::Json(std::move(summary));
   }

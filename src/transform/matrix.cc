@@ -4,10 +4,36 @@
 #include <limits>
 
 #include "common/check.h"
-#include "transform/simd_kernels.h"
 
 namespace adahealth {
 namespace transform {
+
+namespace {
+
+// Four independent accumulators break the sequential add chain for
+// pipelining while keeping a fixed combine order, so equal inputs give
+// equal bits. The reassociation versus Dot stays inside
+// FusedRelativeError's envelope; the kernel feeds only the
+// error-padded screens.
+double DotUnrolled(std::span<const double> a, std::span<const double> b) {
+  ADA_CHECK_EQ(a.size(), b.size());
+  const size_t n = a.size();
+  double acc0 = 0.0;
+  double acc1 = 0.0;
+  double acc2 = 0.0;
+  double acc3 = 0.0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    acc0 += a[i] * b[i];
+    acc1 += a[i + 1] * b[i + 1];
+    acc2 += a[i + 2] * b[i + 2];
+    acc3 += a[i + 3] * b[i + 3];
+  }
+  for (; i < n; ++i) acc0 += a[i] * b[i];
+  return (acc0 + acc1) + (acc2 + acc3);
+}
+
+}  // namespace
 
 Matrix::Matrix(size_t rows, size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -79,7 +105,7 @@ Matrix Matrix::SelectColumns(const std::vector<size_t>& col_ids) const {
 std::vector<double> RowSquaredNorms(const Matrix& m) {
   std::vector<double> norms(m.rows());
   for (size_t r = 0; r < m.rows(); ++r) {
-    norms[r] = simd::SquaredNorm(m.Row(r));
+    norms[r] = DotUnrolled(m.Row(r), m.Row(r));
   }
   return norms;
 }
@@ -94,10 +120,7 @@ void SquaredDistanceToAll(std::span<const double> point, double point_norm2,
   ADA_CHECK_EQ(centroid_norms2.size(), k);
   ADA_CHECK_GE(out.size(), k);
   for (size_t c = 0; c < k; ++c) {
-    // The dot product dispatches to the AVX2/FMA kernel when the CPU
-    // has it; either way the reduction order is fixed per ISA, and the
-    // reassociation stays inside FusedRelativeError's envelope.
-    const double dot = simd::DotProduct(point, centroids.Row(c));
+    const double dot = DotUnrolled(point, centroids.Row(c));
     out[c] = point_norm2 + centroid_norms2[c] - 2.0 * dot;
   }
 }
@@ -106,9 +129,9 @@ double FusedRelativeError(size_t dims) {
   // Each form accumulates O(dims) roundings of terms bounded by
   // ‖x‖² + ‖c‖² (Cauchy–Schwarz bounds every partial product sum);
   // the factor 16 leaves a wide safety margin over the worst case.
-  // This covers every reduction order the dispatched kernels can pick
-  // (scalar 4-accumulator, AVX2 lanes, sparse per-entry): all of them
-  // perform at most O(dims) roundings of the same bounded terms.
+  // This covers both screen reduction orders (dense 4-accumulator,
+  // sparse per-entry): each performs at most O(dims) roundings of the
+  // same bounded terms.
   return 16.0 * static_cast<double>(dims + 8) *
          std::numeric_limits<double>::epsilon();
 }

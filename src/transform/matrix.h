@@ -65,8 +65,7 @@ std::vector<double> RowSquaredNorms(const Matrix& m);
 /// in the ‖x‖² + ‖c‖² − 2·x·c form with the norms supplied by the
 /// caller (`point_norm2` = ‖point‖², `centroid_norms2[c]` = ‖c‖²).
 /// One pass over the centroid block per call; the inner dot product
-/// dispatches at runtime to the AVX2/FMA kernel in
-/// transform/simd_kernels.h (scalar fallback always available).
+/// is a fixed-order 4-accumulator loop.
 ///
 /// The fused form trades the subtract-square loop for a dot product at
 /// the cost of cancellation error up to about

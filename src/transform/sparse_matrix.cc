@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "transform/simd_kernels.h"
 
 namespace adahealth {
 namespace transform {
@@ -153,24 +152,14 @@ void SparseSquaredDistanceToAll(std::span<const SparseEntry> row,
   ADA_CHECK_GE(out.size(), k);
   std::span<double> acc = out.subspan(0, k);
   std::fill(acc.begin(), acc.end(), 0.0);
-  if (k < 16) {
-    // Below ~2 vector widths the per-entry dispatch call costs more
-    // than the handful of multiply-adds it would vectorize; inline the
-    // scalar loop (still within the FusedRelativeError envelope).
-    for (const SparseEntry& entry : row) {
-      ADA_CHECK_LT(entry.column, centroids_t.rows());
-      const double v = entry.value;
-      std::span<const double> col = centroids_t.Row(entry.column);
-      for (size_t c = 0; c < k; ++c) acc[c] += v * col[c];
-    }
-  } else {
-    for (const SparseEntry& entry : row) {
-      ADA_CHECK_LT(entry.column, centroids_t.rows());
-      // Row `column` of the transposed block is the k centroid values
-      // of that dimension, contiguous — a SIMD-friendly axpy per
-      // non-zero.
-      simd::Axpy(entry.value, centroids_t.Row(entry.column), acc);
-    }
+  for (const SparseEntry& entry : row) {
+    ADA_CHECK_LT(entry.column, centroids_t.rows());
+    // Row `column` of the transposed block is the k centroid values
+    // of that dimension, contiguous: one k-wide multiply-add per
+    // non-zero.
+    const double v = entry.value;
+    std::span<const double> col = centroids_t.Row(entry.column);
+    for (size_t c = 0; c < k; ++c) acc[c] += v * col[c];
   }
   for (size_t c = 0; c < k; ++c) {
     out[c] = row_norm2 + centroid_norms2[c] - 2.0 * out[c];

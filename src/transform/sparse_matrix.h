@@ -23,8 +23,8 @@ namespace transform {
 /// representation beats dense for the clustering kernels. The fused
 /// screen does O(nnz) work per centroid instead of O(dims), but each
 /// sparse entry costs ~3x a dense lane (scattered accumulation vs a
-/// contiguous SIMD dot), so the measured crossover against the
-/// dispatched dense kernels sits near 10% — comfortably above the
+/// contiguous unrolled dot), so the measured crossover against the
+/// dense kernels sits near 10% — comfortably above the
 /// paper cohort's ~7% density. transform/vsm and cluster/kmeans both
 /// key their auto-selection off this value.
 inline constexpr double kDefaultSparseDensityThreshold = 0.10;
@@ -126,8 +126,8 @@ double SparseSquaredDistance(std::span<const SparseEntry> row,
 /// Fused batch distance screen: writes into `out[c]` the value
 /// ‖row‖² + ‖c‖² − 2·row·c against every column c of `centroids_t`,
 /// the TRANSPOSED (dims x k) centroid block. Transposing turns the
-/// per-entry gather into a contiguous k-wide axpy, which the SIMD
-/// dispatcher vectorizes. Error-bounded exactly like the dense
+/// per-entry gather into a contiguous k-wide multiply-add per
+/// non-zero. Error-bounded exactly like the dense
 /// SquaredDistanceToAll: consumers needing exact distances re-check
 /// within the FusedRelativeError(dims) margin. `out` must have
 /// centroids_t.cols() capacity and is fully overwritten.

@@ -84,6 +84,17 @@ INSTANTIATE_TEST_SUITE_P(
                     ParityCase{80, 15, 0.15, 4},
                     ParityCase{60, 5, 0.70, 12}));
 
+// Shapes around the 64-bit word: more than 64 (and 128) transactions,
+// and a sparse database over 66 items.
+INSTANTIATE_TEST_SUITE_P(
+    WordBoundaryShapes, MinerParityTest,
+    testing::Values(ParityCase{60, 8, 0.30, 4},
+                    ParityCase{100, 10, 0.25, 6},
+                    ParityCase{40, 12, 0.20, 2},
+                    ParityCase{150, 6, 0.50, 20},
+                    ParityCase{70, 66, 0.05, 2},
+                    ParityCase{129, 9, 0.35, 10}));
+
 TEST(FpGrowthTest, MaxItemsetSizeCaps) {
   MiningOptions options;
   options.min_support_count = 1;

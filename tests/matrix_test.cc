@@ -1,6 +1,7 @@
 #include "transform/matrix.h"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,20 +101,52 @@ TEST(VectorOpsTest, CosineSimilarity) {
 }
 
 TEST(FusedKernelTest, RowSquaredNormsMatchDotWithinEnvelope) {
-  // RowSquaredNorms routes through the runtime-dispatched SIMD kernel,
-  // whose reassociated reduction may differ from the scalar Dot by the
-  // documented fused-error envelope (it feeds only error-bounded
-  // screens, never exact arithmetic).
+  // RowSquaredNorms runs the 4-accumulator kernel, whose reassociated
+  // reduction may differ from the sequential Dot by the documented
+  // fused-error envelope (it feeds only error-bounded screens, never
+  // exact arithmetic). Widths straddle the 4-wide unroll: sub-block,
+  // one block, ragged tails, and the paper's 159 exam types.
   common::Rng rng(61);
-  Matrix m(7, 13);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    for (size_t c = 0; c < m.cols(); ++c) m.At(r, c) = rng.Normal(0.0, 3.0);
+  for (size_t cols : {1u, 3u, 4u, 5u, 13u, 15u, 16u, 17u, 159u}) {
+    Matrix m(7, cols);
+    for (size_t r = 0; r < m.rows(); ++r) {
+      for (size_t c = 0; c < m.cols(); ++c) {
+        m.At(r, c) = rng.Normal(0.0, 3.0);
+      }
+    }
+    std::vector<double> norms = RowSquaredNorms(m);
+    ASSERT_EQ(norms.size(), m.rows());
+    for (size_t r = 0; r < m.rows(); ++r) {
+      const double exact = Dot(m.Row(r), m.Row(r));
+      EXPECT_NEAR(norms[r], exact, FusedRelativeError(m.cols()) * exact)
+          << "cols=" << cols << " row " << r;
+    }
   }
-  std::vector<double> norms = RowSquaredNorms(m);
-  ASSERT_EQ(norms.size(), m.rows());
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const double exact = Dot(m.Row(r), m.Row(r));
-    EXPECT_NEAR(norms[r], exact, FusedRelativeError(m.cols()) * exact);
+}
+
+TEST(FusedKernelTest, DotProductMatchesExactWithinEnvelope) {
+  // With both norms passed as zero, SquaredDistanceToAll returns
+  // -2·x·c, exposing the 4-accumulator dot on mixed-sign inputs. Sizes
+  // straddle every unroll boundary: empty, sub-block, one block, the
+  // ragged tails, and the paper's 159 exam types.
+  common::Rng rng(89);
+  for (size_t n : {0u, 1u, 3u, 4u, 5u, 15u, 16u, 17u, 48u, 159u, 1000u}) {
+    std::vector<double> a(n);
+    Matrix b(1, n);
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = rng.Normal(0.0, 3.0);
+      b.At(0, i) = rng.Normal(0.0, 3.0);
+    }
+    const double zero_norm = 0.0;
+    double out = 0.0;
+    SquaredDistanceToAll(a, 0.0, b, std::span<const double>(&zero_norm, 1),
+                         std::span<double>(&out, 1));
+    const double got = -0.5 * out;
+    const double exact = Dot(a, b.Row(0));
+    double scale = 0.0;
+    for (size_t i = 0; i < n; ++i) scale += std::abs(a[i] * b.At(0, i));
+    EXPECT_NEAR(got, exact, FusedRelativeError(n) * (scale + 1.0))
+        << "n=" << n;
   }
 }
 

@@ -197,34 +197,35 @@ TEST(SparseKernelTest, SparseSquaredDistanceBitIdenticalToDense) {
 TEST(SparseKernelTest, SparseSquaredDistanceToAllWithinFusedEnvelope) {
   common::Rng rng(79);
   const size_t dims = 48;
-  const size_t k = 7;
   Matrix dense = RandomSparseDense(rng, 10, dims, 0.2);
   CsrMatrix m = CsrMatrix::FromDense(dense);
-  Matrix centroids(k, dims);
-  for (size_t c = 0; c < k; ++c) {
-    for (size_t d = 0; d < dims; ++d) {
-      centroids.At(c, d) = rng.Normal(0.0, 2.0);
-    }
-  }
-  Matrix centroids_t(dims, k);
-  std::vector<double> centroid_norms(k);
-  for (size_t c = 0; c < k; ++c) {
-    centroid_norms[c] = Dot(centroids.Row(c), centroids.Row(c));
-    for (size_t d = 0; d < dims; ++d) {
-      centroids_t.At(d, c) = centroids.At(c, d);
-    }
-  }
   std::vector<double> norms = RowSquaredNorms(m);
-  std::vector<double> fused(k);
   const double rel = FusedRelativeError(dims);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    SparseSquaredDistanceToAll(m.Row(r), norms[r], centroids_t,
-                               centroid_norms, fused);
+  for (size_t k : {7u, 16u, 23u}) {
+    Matrix centroids(k, dims);
     for (size_t c = 0; c < k; ++c) {
-      const double exact = SquaredDistance(dense.Row(r), centroids.Row(c));
-      const double margin = rel * (norms[r] + centroid_norms[c]);
-      EXPECT_NEAR(fused[c], exact, margin)
-          << "row " << r << " centroid " << c;
+      for (size_t d = 0; d < dims; ++d) {
+        centroids.At(c, d) = rng.Normal(0.0, 2.0);
+      }
+    }
+    Matrix centroids_t(dims, k);
+    std::vector<double> centroid_norms(k);
+    for (size_t c = 0; c < k; ++c) {
+      centroid_norms[c] = Dot(centroids.Row(c), centroids.Row(c));
+      for (size_t d = 0; d < dims; ++d) {
+        centroids_t.At(d, c) = centroids.At(c, d);
+      }
+    }
+    std::vector<double> fused(k);
+    for (size_t r = 0; r < m.rows(); ++r) {
+      SparseSquaredDistanceToAll(m.Row(r), norms[r], centroids_t,
+                                 centroid_norms, fused);
+      for (size_t c = 0; c < k; ++c) {
+        const double exact = SquaredDistance(dense.Row(r), centroids.Row(c));
+        const double margin = rel * (norms[r] + centroid_norms[c]);
+        EXPECT_NEAR(fused[c], exact, margin)
+            << "k=" << k << " row " << r << " centroid " << c;
+      }
     }
   }
 }

@@ -51,14 +51,13 @@ Rules
                     ServerSocket / LineReader and move bytes through
                     SendAll / ConnectLoopback / SetRecvTimeout, so no
                     error path can leak or double-close an fd.
-  simd-intrinsics   x86 vector intrinsics — the <immintrin.h> include
+  simd-intrinsics   x86 vector intrinsics — the <*intrin.h> header
                     family, _mm*/_mm256*/_mm512* calls and __m128/__m256/
-                    __m512 vector types — are allowed only in
-                    src/transform/simd_kernels.h/.cc. Everything else
-                    calls the runtime-dispatched simd:: wrappers, so the
-                    scalar fallback always exists, ADA_SIMD=OFF builds
-                    stay complete, and one grep audits the entire
-                    unsafe-ISA surface.
+                    __m512 vector types — are banned everywhere. The
+                    distance kernels are portable scalar loops with one
+                    code path on every target; an ISA-specific kernel
+                    would bring back a dispatch layer whose measured
+                    end-to-end effect was within noise.
   service-file-io   Direct file I/O — the fopen/fwrite/fread/fflush/
                     fsync/ftruncate/truncate/rename/unlink call family
                     and the <fstream>/<filesystem> includes — is allowed
@@ -240,9 +239,6 @@ def lint_file(path, rel_path):
         os.path.join("src", "service") + os.sep)
     is_cohort_store = rel_path == os.path.join(
         "src", "service", "cohort_store.cc")
-    is_simd_kernel = rel_path in (
-        os.path.join("src", "transform", "simd_kernels.h"),
-        os.path.join("src", "transform", "simd_kernels.cc"))
 
     code_lines = []
     in_block = False
@@ -359,21 +355,18 @@ def lint_file(path, rel_path):
                     "include common/sync.h instead"))
 
         # --- simd-intrinsics --------------------------------------------
-        if not is_simd_kernel:
-            m = SIMD_INCLUDE_RE.search(code)
-            if m and not allowed(lineno, "simd-intrinsics"):
-                findings.append(Finding(
-                    rel_path, lineno, "simd-intrinsics",
-                    f"#include <{m.group(1)}> outside "
-                    "transform/simd_kernels; call the dispatched simd:: "
-                    "wrappers instead"))
-            m = SIMD_TOKEN_RE.search(code)
-            if m and not allowed(lineno, "simd-intrinsics"):
-                findings.append(Finding(
-                    rel_path, lineno, "simd-intrinsics",
-                    f"intrinsic `{m.group(1)}` outside "
-                    "transform/simd_kernels; keep raw ISA code behind the "
-                    "runtime-dispatched simd:: wrappers"))
+        m = SIMD_INCLUDE_RE.search(code)
+        if m and not allowed(lineno, "simd-intrinsics"):
+            findings.append(Finding(
+                rel_path, lineno, "simd-intrinsics",
+                f"#include <{m.group(1)}>: x86 intrinsics are banned; "
+                "write the kernel as a portable scalar loop"))
+        m = SIMD_TOKEN_RE.search(code)
+        if m and not allowed(lineno, "simd-intrinsics"):
+            findings.append(Finding(
+                rel_path, lineno, "simd-intrinsics",
+                f"intrinsic `{m.group(1)}`: x86 intrinsics are banned; "
+                "write the kernel as a portable scalar loop"))
 
         # --- direct-random ----------------------------------------------
         if not is_rng:
