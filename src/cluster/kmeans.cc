@@ -404,7 +404,7 @@ bool ShouldUseSparse(const Matrix& data, const KMeansOptions& options) {
   if (options.engine != KMeansEngine::kAccelerated) return false;
   if (options.k < kMinSparseClusters) return false;
   if (data.cols() < kMinSparseDims) return false;
-  return MeasuredDensity(data) <= options.sparse_density_threshold;
+  return MeasuredDensity(data) <= kSparseDensityThreshold;
 }
 
 }  // namespace internal

@@ -136,6 +136,7 @@ class ScopedFailpoint {
 };
 
 /// Convenience: a one-shot error trigger returning `code`.
+/// ada-lint: allow(test-only-api): test hook for arming failpoints.
 [[nodiscard]] FailpointConfig OneShotError(
     StatusCode code = StatusCode::kUnavailable, std::string message = "");
 

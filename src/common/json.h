@@ -63,7 +63,6 @@ class Json {
   double AsDouble() const;
   const std::string& AsString() const;
   const Array& AsArray() const;
-  Array& MutableArray();
   const Object& AsObject() const;
   Object& MutableObject();
 

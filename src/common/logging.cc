@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace adahealth {
@@ -8,7 +7,8 @@ namespace common {
 
 namespace {
 
-std::atomic<int> g_threshold{static_cast<int>(LogLevel::kInfo)};
+/// Minimum level that is actually emitted.
+constexpr LogLevel kThreshold = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -26,17 +26,8 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogThreshold(LogLevel level) {
-  g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel LogThreshold() {
-  return static_cast<LogLevel>(g_threshold.load(std::memory_order_relaxed));
-}
-
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               g_threshold.load(std::memory_order_relaxed)),
+    : enabled_(static_cast<int>(level) >= static_cast<int>(kThreshold)),
       level_(level) {
   if (enabled_) {
     // Strip directories from __FILE__ for terse prefixes.

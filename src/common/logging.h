@@ -3,8 +3,8 @@
 // Usage:
 //   ADA_LOG(kInfo) << "optimizer picked k=" << best_k;
 //
-// Messages below the global threshold (default kInfo) are discarded
-// cheaply. Output goes to stderr with a level prefix.
+// Messages below kInfo are discarded cheaply. Output goes to stderr
+// with a level prefix.
 #ifndef ADAHEALTH_COMMON_LOGGING_H_
 #define ADAHEALTH_COMMON_LOGGING_H_
 
@@ -20,12 +20,6 @@ enum class LogLevel : int {
   kWarning = 2,
   kError = 3,
 };
-
-/// Sets the global minimum level that is actually emitted.
-void SetLogThreshold(LogLevel level);
-
-/// Returns the current global threshold.
-LogLevel LogThreshold();
 
 /// One in-flight log statement; flushes on destruction.
 class LogMessage {

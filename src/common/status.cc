@@ -86,9 +86,6 @@ Status FailedPreconditionError(std::string message) {
 Status OutOfRangeError(std::string message) {
   return Status(StatusCode::kOutOfRange, std::move(message));
 }
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
-}
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
 }

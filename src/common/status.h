@@ -94,7 +94,6 @@ std::ostream& operator<<(std::ostream& os, const Status& status);
 [[nodiscard]] Status AlreadyExistsError(std::string message);
 [[nodiscard]] Status FailedPreconditionError(std::string message);
 [[nodiscard]] Status OutOfRangeError(std::string message);
-[[nodiscard]] Status UnimplementedError(std::string message);
 [[nodiscard]] Status InternalError(std::string message);
 [[nodiscard]] Status DataLossError(std::string message);
 [[nodiscard]] Status UnavailableError(std::string message);

@@ -15,14 +15,6 @@ Interest Threshold(const PersonaConfig& persona, double utility) {
 
 }  // namespace
 
-Interest FeedbackSimulator::LabelItem(const KnowledgeItem& item) {
-  double utility =
-      persona_.goal_affinity[static_cast<size_t>(item.goal)] +
-      persona_.quality_weight * item.quality +
-      rng_.Normal(0.0, persona_.noise_stddev);
-  return Threshold(persona_, utility);
-}
-
 double FeedbackSimulator::GoalUtility(const stats::MetaFeatures& features,
                                       EndGoal goal) const {
   double utility = persona_.goal_affinity[static_cast<size_t>(goal)];
@@ -66,7 +58,6 @@ PersonaConfig DiabetologistPersona() {
   PersonaConfig persona;
   persona.name = "diabetologist";
   persona.goal_affinity = {0.7, 0.6, 0.5, 0.4, 0.1};
-  persona.quality_weight = 0.8;
   persona.noise_stddev = 0.20;
   return persona;
 }
@@ -75,7 +66,6 @@ PersonaConfig ClinicalResearcherPersona() {
   PersonaConfig persona;
   persona.name = "clinical_researcher";
   persona.goal_affinity = {0.5, 0.5, 0.6, 0.8, 0.1};
-  persona.quality_weight = 1.0;
   persona.noise_stddev = 0.20;
   return persona;
 }
@@ -84,7 +74,6 @@ PersonaConfig HospitalAdministratorPersona() {
   PersonaConfig persona;
   persona.name = "hospital_administrator";
   persona.goal_affinity = {0.2, 0.3, 0.4, 0.2, 0.9};
-  persona.quality_weight = 0.6;
   persona.noise_stddev = 0.20;
   return persona;
 }

@@ -5,8 +5,8 @@
 // {high, medium, low}, and differences among physicians ("diverse
 // background and specialization") drive end-goal selection. We have no
 // physicians, so feedback is generated by persona oracles: each
-// persona holds latent end-goal affinities and a quality sensitivity;
-// labels are thresholded noisy utilities. This preserves the paper's
+// persona holds latent end-goal affinities; labels are thresholded
+// noisy utilities. This preserves the paper's
 // learnability claim (more interactions -> better interest models)
 // while keeping the ground truth controllable.
 #ifndef ADAHEALTH_CORE_FEEDBACK_SIM_H_
@@ -27,8 +27,6 @@ struct PersonaConfig {
   std::string name;
   /// Base affinity per end-goal (indexed by EndGoal).
   std::array<double, kNumEndGoals> goal_affinity = {0, 0, 0, 0, 0};
-  /// Weight of an item's algorithmic quality in the utility.
-  double quality_weight = 1.0;
   /// Stddev of the Gaussian label noise.
   double noise_stddev = 0.25;
   /// Utility thresholds: >= high_threshold -> high,
@@ -44,10 +42,6 @@ class FeedbackSimulator {
       : persona_(std::move(persona)), rng_(seed) {}
 
   const PersonaConfig& persona() const { return persona_; }
-
-  /// Labels a knowledge item: utility = goal affinity + quality term
-  /// + noise, thresholded to {low, medium, high}.
-  Interest LabelItem(const KnowledgeItem& item);
 
   /// Labels an (analysis end-goal, dataset) pair: the utility adds
   /// dataset-dependent terms (e.g. sparser datasets make clustering

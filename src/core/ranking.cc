@@ -8,6 +8,17 @@ namespace core {
 using common::Status;
 using common::StatusOr;
 
+namespace {
+
+/// Blend weight of direct item feedback vs. base quality.
+constexpr double kFeedbackWeight = 0.5;
+/// Weight of the kind-level bias learned from feedback.
+constexpr double kKindBiasWeight = 0.2;
+/// Weight of the goal-level bias learned from feedback.
+constexpr double kGoalBiasWeight = 0.2;
+
+}  // namespace
+
 Status KnowledgeRanker::AddItems(const std::vector<KnowledgeItem>& items) {
   for (const KnowledgeItem& item : items) {
     if (item.id.empty()) {
@@ -54,8 +65,8 @@ Status KnowledgeRanker::RecordFeedback(const std::string& item_id,
 double KnowledgeRanker::Score(const Entry& entry) const {
   double score = entry.item.quality;
   if (entry.has_feedback) {
-    score = (1.0 - options_.feedback_weight) * score +
-            options_.feedback_weight * entry.feedback_value;
+    score = (1.0 - kFeedbackWeight) * score +
+            kFeedbackWeight * entry.feedback_value;
   }
   // Kind/goal biases center on 0.5 (the neutral "medium" value) so
   // that feedback below medium demotes whole families of items.
@@ -63,14 +74,14 @@ double KnowledgeRanker::Score(const Entry& entry) const {
   if (kind_it != kind_feedback_.end() && kind_it->second.second > 0) {
     double mean =
         kind_it->second.first / static_cast<double>(kind_it->second.second);
-    score += options_.kind_bias_weight * (mean - 0.5);
+    score += kKindBiasWeight * (mean - 0.5);
   }
   auto goal_it =
       goal_feedback_.find(static_cast<int32_t>(entry.item.goal));
   if (goal_it != goal_feedback_.end() && goal_it->second.second > 0) {
     double mean =
         goal_it->second.first / static_cast<double>(goal_it->second.second);
-    score += options_.goal_bias_weight * (mean - 0.5);
+    score += kGoalBiasWeight * (mean - 0.5);
   }
   return score;
 }

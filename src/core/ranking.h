@@ -15,21 +15,9 @@
 namespace adahealth {
 namespace core {
 
-struct RankerOptions {
-  /// Blend weight of direct item feedback vs. base quality.
-  double feedback_weight = 0.5;
-  /// Weight of the kind-level bias learned from feedback.
-  double kind_bias_weight = 0.2;
-  /// Weight of the goal-level bias learned from feedback.
-  double goal_bias_weight = 0.2;
-};
-
 /// Feedback-adaptive ranker over a set of knowledge items.
 class KnowledgeRanker {
  public:
-  explicit KnowledgeRanker(RankerOptions options = RankerOptions())
-      : options_(options) {}
-
   /// Registers items (ids must be unique; duplicates are rejected).
   [[nodiscard]] common::Status AddItems(const std::vector<KnowledgeItem>& items);
 
@@ -62,7 +50,6 @@ class KnowledgeRanker {
 
   double Score(const Entry& entry) const;
 
-  RankerOptions options_;
   std::map<std::string, Entry> items_;
   // Aggregated feedback per kind / per goal: (sum, count).
   std::map<std::string, std::pair<double, int64_t>> kind_feedback_;

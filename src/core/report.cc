@@ -41,37 +41,33 @@ std::string RenderSessionReport(const SessionResult& result,
       transform::VsmNormalizationName(best.options.normalization),
       best.lift);
 
-  if (options.include_partial_mining) {
-    md += "## Adaptive partial mining\n\n";
-    md += "| exam types | record coverage | quality diff vs full |  |\n";
-    md += "|---|---|---|---|\n";
-    for (size_t s = 0; s < result.partial.steps.size(); ++s) {
-      const PartialMiningStep& step = result.partial.steps[s];
-      md += StrFormat("| %.0f%% | %.1f%% | %.2f%% | %s |\n",
-                      100.0 * step.fraction, 100.0 * step.record_coverage,
-                      100.0 * step.mean_relative_diff,
-                      s == result.partial.selected_step ? "**selected**"
-                                                        : "");
-    }
-    md += "\n";
+  md += "## Adaptive partial mining\n\n";
+  md += "| exam types | record coverage | quality diff vs full |  |\n";
+  md += "|---|---|---|---|\n";
+  for (size_t s = 0; s < result.partial.steps.size(); ++s) {
+    const PartialMiningStep& step = result.partial.steps[s];
+    md += StrFormat("| %.0f%% | %.1f%% | %.2f%% | %s |\n",
+                    100.0 * step.fraction, 100.0 * step.record_coverage,
+                    100.0 * step.mean_relative_diff,
+                    s == result.partial.selected_step ? "**selected**"
+                                                      : "");
   }
+  md += "\n";
 
-  if (options.include_optimizer_table) {
-    md += "## Algorithm optimization\n\n";
-    md += "| K | SSE | accuracy | avg precision | avg recall |  |\n";
-    md += "|---|---|---|---|---|---|\n";
-    for (const CandidateEvaluation& candidate :
-         result.optimizer.candidates) {
-      md += StrFormat("| %d | %.1f | %.2f | %.2f | %.2f | %s |\n",
-                      candidate.k, candidate.sse, 100.0 * candidate.accuracy,
-                      100.0 * candidate.avg_precision,
-                      100.0 * candidate.avg_recall,
-                      candidate.k == result.optimizer.best_k()
-                          ? "**selected**"
-                          : "");
-    }
-    md += "\n";
+  md += "## Algorithm optimization\n\n";
+  md += "| K | SSE | accuracy | avg precision | avg recall |  |\n";
+  md += "|---|---|---|---|---|---|\n";
+  for (const CandidateEvaluation& candidate :
+       result.optimizer.candidates) {
+    md += StrFormat("| %d | %.1f | %.2f | %.2f | %.2f | %s |\n",
+                    candidate.k, candidate.sse, 100.0 * candidate.accuracy,
+                    100.0 * candidate.avg_precision,
+                    100.0 * candidate.avg_recall,
+                    candidate.k == result.optimizer.best_k()
+                        ? "**selected**"
+                        : "");
   }
+  md += "\n";
 
   md += "## Knowledge items\n\n";
   size_t shown = std::min(options.max_items, result.knowledge.size());

@@ -14,10 +14,6 @@ namespace core {
 struct ReportOptions {
   /// Knowledge items listed in the report.
   size_t max_items = 15;
-  /// Include the per-candidate optimizer table (Table-I style).
-  bool include_optimizer_table = true;
-  /// Include the partial-mining schedule table.
-  bool include_partial_mining = true;
 };
 
 /// Renders a session result as a self-contained Markdown document.

@@ -48,15 +48,6 @@ Status Collection::Restore(Document document) {
   return common::OkStatus();
 }
 
-StatusOr<Document> Collection::FindById(DocumentId id) const {
-  auto it = id_to_position_.find(id);
-  if (it == id_to_position_.end()) {
-    return common::NotFoundError("no document with _id " +
-                                 std::to_string(id));
-  }
-  return documents_[it->second];
-}
-
 std::vector<Document> Collection::Find(const Query& query,
                                        size_t limit) const {
   KdbCounter("kdb/queries").Increment();
@@ -115,23 +106,6 @@ Status Collection::UpdateById(DocumentId id, const Json& fields) {
   for (const auto& [key, value] : fields.AsObject()) {
     if (key == "_id") continue;  // Ids are immutable.
     document.Set(key, value);
-  }
-  ReindexAll();
-  return common::OkStatus();
-}
-
-Status Collection::DeleteById(DocumentId id) {
-  KdbCounter("kdb/deletes").Increment();
-  auto it = id_to_position_.find(id);
-  if (it == id_to_position_.end()) {
-    return common::NotFoundError("no document with _id " +
-                                 std::to_string(id));
-  }
-  documents_.erase(documents_.begin() +
-                   static_cast<ptrdiff_t>(it->second));
-  id_to_position_.clear();
-  for (size_t position = 0; position < documents_.size(); ++position) {
-    id_to_position_[documents_[position].id()] = position;
   }
   ReindexAll();
   return common::OkStatus();

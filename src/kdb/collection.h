@@ -29,9 +29,6 @@ class Collection {
   /// value is overwritten). Returns the id.
   DocumentId Insert(Document document);
 
-  /// Looks a document up by id; NOT_FOUND when absent.
-  [[nodiscard]] common::StatusOr<Document> FindById(DocumentId id) const;
-
   /// Returns documents matching `query`, in insertion order, up to
   /// `limit` (0 = unlimited). Uses a secondary index when the query has
   /// an equality condition on an indexed path.
@@ -46,9 +43,6 @@ class Collection {
   /// Merges `fields` (a JSON object) into the document with the given
   /// id; NOT_FOUND when absent, INVALID_ARGUMENT when not an object.
   [[nodiscard]] common::Status UpdateById(DocumentId id, const common::Json& fields);
-
-  /// Removes a document; NOT_FOUND when absent.
-  [[nodiscard]] common::Status DeleteById(DocumentId id);
 
   /// Builds (or rebuilds) an equality index on a dotted path. Queries
   /// with an Eq condition on `path` then resolve via the index.

@@ -55,17 +55,18 @@ Status RestoreLine(Collection& collection, const std::string& name,
   return common::OkStatus();
 }
 
-/// Writes `contents` to `path` atomically: `<path>.tmp` + fsync +
-/// rename. Any failure removes the temporary file and leaves a
-/// previous `path` untouched.
-Status AtomicWriteFile(const std::string& path, std::string_view contents) {
+}  // namespace
+
+Status AtomicWriteFile(const std::string& path, std::string_view contents,
+                       std::string_view failpoint_prefix) {
   const std::string tmp_path = path + ".tmp";
   auto fail = [&tmp_path](Status status) {
     std::remove(tmp_path.c_str());
     return status;
   };
 
-  Status injected = ADA_FAILPOINT("kdb.storage.write");
+  const std::string failpoint(failpoint_prefix);
+  Status injected = ADA_FAILPOINT(failpoint + ".write");
   if (!injected.ok()) return fail(injected);
 
   std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
@@ -79,7 +80,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
     return fail(common::DataLossError("write error on file: " + tmp_path));
   }
 
-  injected = ADA_FAILPOINT("kdb.storage.fsync");
+  injected = ADA_FAILPOINT(failpoint + ".fsync");
   if (!injected.ok()) {
     std::fclose(file);
     return fail(injected);
@@ -92,7 +93,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
     return fail(common::DataLossError("close failed on file: " + tmp_path));
   }
 
-  injected = ADA_FAILPOINT("kdb.storage.rename");
+  injected = ADA_FAILPOINT(failpoint + ".rename");
   if (!injected.ok()) return fail(injected);
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
     return fail(common::UnavailableError("rename failed: " + tmp_path +
@@ -115,8 +116,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
   }
   return common::OkStatus();
 }
-
-}  // namespace
 
 std::string SerializeCollection(const Collection& collection) {
   std::string out;
@@ -174,7 +173,7 @@ SalvagedCollection DeserializeCollectionSalvage(const std::string& name,
 Status SaveCollection(const Collection& collection,
                       const std::string& directory) {
   return AtomicWriteFile(directory + "/" + collection.name() + ".jsonl",
-                         SerializeCollection(collection));
+                         SerializeCollection(collection), "kdb.storage");
 }
 
 StatusOr<Collection> LoadCollection(const std::string& name,

@@ -17,6 +17,7 @@
 #define ADAHEALTH_KDB_STORAGE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "kdb/collection.h"
@@ -60,9 +61,18 @@ struct SalvagedCollection {
 [[nodiscard]] SalvagedCollection DeserializeCollectionSalvage(
     const std::string& name, const std::string& text);
 
+/// Writes `contents` to `path` atomically: `<path>.tmp` + fsync +
+/// rename + directory fsync, so a crash at any point leaves either the
+/// old or the new file. The failpoints `<failpoint_prefix>.write`,
+/// `.fsync` and `.rename` fire before the corresponding step. Any
+/// failure removes the temporary file and leaves a previous `path`
+/// untouched.
+[[nodiscard]] common::Status AtomicWriteFile(const std::string& path,
+                                             std::string_view contents,
+                                             std::string_view failpoint_prefix);
+
 /// Atomically writes the collection to `<directory>/<name>.jsonl`
-/// (tmp + fsync + rename). On any failure the previous file is left
-/// untouched and the temporary file is removed.
+/// through AtomicWriteFile with the "kdb.storage" failpoints.
 [[nodiscard]] common::Status SaveCollection(const Collection& collection,
                               const std::string& directory);
 

@@ -166,7 +166,7 @@ int32_t DecisionTreeClassifier::BuildNode(
   // the chosen split and its gain are exactly those of an unscreened
   // scan.
   constexpr double kGainScreenMargin = 1e-9;
-  double best_gain = options_.min_impurity_decrease;
+  double best_gain = kMinImpurityDecrease;
   int32_t best_feature = -1;
   double best_threshold = 0.0;
 

@@ -13,6 +13,9 @@
 namespace adahealth {
 namespace ml {
 
+/// A split must reduce weighted Gini impurity by at least this much.
+inline constexpr double kMinImpurityDecrease = 1e-7;
+
 struct DecisionTreeOptions {
   /// Maximum tree depth (root = depth 0).
   int32_t max_depth = 12;
@@ -20,8 +23,6 @@ struct DecisionTreeOptions {
   int32_t min_samples_split = 2;
   /// Minimum samples that must land in each child.
   int32_t min_samples_leaf = 1;
-  /// A split must reduce weighted Gini impurity by at least this much.
-  double min_impurity_decrease = 1e-7;
 };
 
 /// CART classifier. Fit() may be called repeatedly; each call retrains.

@@ -11,6 +11,14 @@ namespace ml {
 using common::Status;
 using transform::Matrix;
 
+namespace {
+
+/// Variance floor added per feature (scaled by the largest feature
+/// variance), preventing degenerate likelihoods for constant features.
+constexpr double kVarianceSmoothing = 1e-9;
+
+}  // namespace
+
 Status GaussianNaiveBayes::Fit(const Matrix& features,
                                const std::vector<int32_t>& labels,
                                int32_t num_classes) {
@@ -77,7 +85,7 @@ Status GaussianNaiveBayes::Fit(const Matrix& features,
     }
   }
   const double epsilon =
-      options_.variance_smoothing * std::max(max_feature_variance, 1.0);
+      kVarianceSmoothing * std::max(max_feature_variance, 1.0);
 
   log_priors_.assign(k, -std::numeric_limits<double>::infinity());
   for (size_t c = 0; c < k; ++c) {

@@ -9,19 +9,9 @@
 namespace adahealth {
 namespace ml {
 
-struct NaiveBayesOptions {
-  /// Variance floor added per feature, preventing degenerate
-  /// likelihoods for constant features.
-  double variance_smoothing = 1e-9;
-};
-
 /// Gaussian naive Bayes with class priors estimated from frequencies.
 class GaussianNaiveBayes final : public Classifier {
  public:
-  explicit GaussianNaiveBayes(
-      NaiveBayesOptions options = NaiveBayesOptions())
-      : options_(options) {}
-
   [[nodiscard]] common::Status Fit(const transform::Matrix& features,
                      const std::vector<int32_t>& labels,
                      int32_t num_classes) override;
@@ -29,7 +19,6 @@ class GaussianNaiveBayes final : public Classifier {
   int32_t Predict(std::span<const double> features) const override;
 
  private:
-  NaiveBayesOptions options_;
   int32_t num_classes_ = 0;
   size_t num_features_ = 0;
   std::vector<double> log_priors_;          // Per class.

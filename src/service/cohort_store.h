@@ -31,7 +31,7 @@
 // persists the selected centroids, the exam types their columns mean,
 // and the best K. The next BuildCohortJob attaches them as a
 // SessionOptions warm hint unless the cohort drifted too far since
-// the analyzed generation (drift_threshold), in which case the job
+// the analyzed generation (kDriftThreshold), in which case the job
 // runs cold. The hint is identity-gated inside the session (see
 // core::WarmStartOptions): it can speed the sweep up but never
 // changes what a cold run on the same data would report.
@@ -39,7 +39,9 @@
 // Failpoints: "service.ingest.append" (records append),
 // "service.ingest.snapshot" (manifest write — both the per-batch one
 // and the post-analysis warm-state one; a failed warm snapshot drops
-// the warm state, degrading the next job to a cold run), and
+// the warm state, degrading the next job to a cold run),
+// "service.ingest.manifest.write|fsync|rename" (the steps of that
+// write, inside kdb::AtomicWriteFile), and
 // "service.ingest.adapt" (warm-hint attachment; a failure falls back
 // to cold). Metrics: "service/ingest_batches", "_records",
 // "_warm_starts", "_cold_fallbacks", "_snapshot_failures" counters.
@@ -68,10 +70,6 @@ struct CohortStoreOptions {
   /// in-memory store (tests, demos): nothing survives the process, but
   /// every other contract holds.
   std::string directory;
-  /// Warm-start drift gate: when more than this fraction of the
-  /// cohort's records arrived after the last analyzed generation, the
-  /// prior centroids are considered stale and the next job runs cold.
-  double drift_threshold = 0.5;
 };
 
 /// What one committed ingest batch did.
@@ -212,8 +210,9 @@ class CohortStore {
   [[nodiscard]] common::Status AppendRecordsFile(const std::string& cohort,
                                                  const CohortState& state,
                                                  const std::string& payload);
-  /// Atomically rewrites the cohort's manifest from `state`
-  /// (tmp + fsync + rename + dir fsync; "service.ingest.snapshot").
+  /// Atomically rewrites the cohort's manifest from `state` through
+  /// kdb::AtomicWriteFile ("service.ingest.snapshot", then the
+  /// "service.ingest.manifest.*" steps).
   [[nodiscard]] common::Status WriteManifest(const std::string& cohort,
                                              const CohortState& state);
   [[nodiscard]] common::Json ManifestJson(const std::string& cohort,

@@ -26,6 +26,19 @@ constexpr const char* kPingLine = "{\"verb\":\"ping\"}\n";
 constexpr const char* kPromoteLine = "{\"verb\":\"promote\"}\n";
 constexpr const char* kShutdownLine = "{\"verb\":\"shutdown\"}\n";
 
+/// Forwarding attempts per client request; each transport failure
+/// between attempts runs the failover path for the routed shard.
+constexpr int kMaxForwardAttempts = 3;
+/// Recv ceiling on forwarded requests — must exceed the shards'
+/// max_result_wait_millis or long `result` waits get cut short.
+constexpr double kUpstreamRecvTimeoutMillis = 120000.0;
+/// Recv ceiling on probe and failover-verification round-trips.
+constexpr double kProbeTimeoutMillis = 1000.0;
+/// Connect retries against the follower during promotion.
+constexpr int kPromoteConnectRetries = 10;
+/// Virtual nodes per shard on the consistent-hash ring.
+constexpr size_t kVnodesPerShard = 64;
+
 bool IsTerminalStateName(const std::string& name) {
   return name == JobStateName(JobState::kDone) ||
          name == JobStateName(JobState::kFailed) ||
@@ -110,9 +123,8 @@ Status Router::Start() {
   // lookup time rather than removed, so placements of the surviving
   // shards never move when one dies.
   ring_.clear();
-  const size_t vnodes = std::max<size_t>(1, options_.vnodes_per_shard);
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    for (size_t vnode = 0; vnode < vnodes; ++vnode) {
+    for (size_t vnode = 0; vnode < kVnodesPerShard; ++vnode) {
       Fnv1a hash;
       hash.MixString("shard");
       hash.MixInt(static_cast<int64_t>(shard));
@@ -346,8 +358,7 @@ std::string Router::HandleSubmit(ClientConn* conn, const Json& body,
   }
   const std::string forward_line = line + "\n";
   Status last_failure = common::UnavailableError("no forward attempted");
-  const int attempts = std::max(1, options_.max_forward_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxForwardAttempts; ++attempt) {
     size_t shard = 0;
     uint16_t port = 0;
     uint64_t generation = 0;
@@ -362,7 +373,7 @@ std::string Router::HandleSubmit(ClientConn* conn, const Json& body,
       generation = shards_[shard]->generation;
     }
     auto response = ForwardRaw(conn, port, forward_line,
-                               options_.upstream_recv_timeout_millis);
+                               kUpstreamRecvTimeoutMillis);
     if (!response.ok()) {
       last_failure = response.status();
       if (stopping_.load()) break;
@@ -402,7 +413,7 @@ std::string Router::HandleSubmit(ClientConn* conn, const Json& body,
     return parsed.value().Dump() + "\n";
   }
   return ErrorResponse(common::UnavailableError(common::StrFormat(
-      "shard unavailable after %d attempts: %s", attempts,
+      "shard unavailable after %d attempts: %s", kMaxForwardAttempts,
       last_failure.ToString().c_str())));
 }
 
@@ -434,7 +445,7 @@ std::string Router::HandleIngest(ClientConn* conn, const Json& body,
     generation = shards_[shard]->generation;
   }
   auto response = ForwardRaw(conn, port, forward_line,
-                             options_.upstream_recv_timeout_millis);
+                             kUpstreamRecvTimeoutMillis);
   if (!response.ok()) {
     if (!stopping_.load()) HandleShardFailure(shard, generation);
     return ErrorResponse(common::UnavailableError(common::StrFormat(
@@ -456,8 +467,7 @@ std::string Router::HandleJobVerb(ClientConn* conn, const Json& body) {
   }
   const JobId global_id = id_field->AsInt();
   Status last_failure = common::UnavailableError("no forward attempted");
-  const int attempts = std::max(1, options_.max_forward_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxForwardAttempts; ++attempt) {
     size_t shard = 0;
     JobId local_id = 0;
     uint16_t port = 0;
@@ -494,7 +504,7 @@ std::string Router::HandleJobVerb(ClientConn* conn, const Json& body) {
     Json::Object forward = body.AsObject();
     forward["job_id"] = Json(static_cast<int64_t>(local_id));
     auto response = ForwardRaw(conn, port, Json(std::move(forward)).Dump() + "\n",
-                               options_.upstream_recv_timeout_millis);
+                               kUpstreamRecvTimeoutMillis);
     if (!response.ok()) {
       last_failure = response.status();
       if (stopping_.load()) break;
@@ -505,7 +515,7 @@ std::string Router::HandleJobVerb(ClientConn* conn, const Json& body) {
   }
   return ErrorResponse(
       common::UnavailableError(common::StrFormat(
-          "shard unavailable after %d attempts: %s", attempts,
+          "shard unavailable after %d attempts: %s", kMaxForwardAttempts,
           last_failure.ToString().c_str())),
       JobIdExtra(global_id));
 }
@@ -557,7 +567,7 @@ std::string Router::HandleStats(ClientConn* conn) {
     entry["using_follower"] = Json(using_follower);
     if (alive) {
       auto response = ForwardRaw(conn, port, "{\"verb\":\"stats\"}\n",
-                                 options_.probe_timeout_millis);
+                                 kProbeTimeoutMillis);
       StatusOr<Json> stats_json =
           response.ok() ? ParseResponse(response.value())
                         : StatusOr<Json>(response.status());
@@ -637,7 +647,7 @@ std::string Router::HandleShutdown(ClientConn* conn) {
   }
   for (uint16_t port : ports) {
     if (auto response = ForwardRaw(conn, port, kShutdownLine,
-                                   options_.probe_timeout_millis);
+                                   kProbeTimeoutMillis);
         !response.ok()) {
       ADA_LOG(kWarning) << "router: shutdown cascade to port " << port
                         << " failed: " << response.status().message();
@@ -659,7 +669,7 @@ std::string Router::HandleShutdown(ClientConn* conn) {
 
 bool Router::ProbePort(uint16_t port) {
   auto response =
-      ForwardRaw(nullptr, port, kPingLine, options_.probe_timeout_millis);
+      ForwardRaw(nullptr, port, kPingLine, kProbeTimeoutMillis);
   if (!response.ok()) return false;
   return ParseResponse(response.value()).ok();
 }
@@ -768,14 +778,14 @@ void Router::HandleShardFailure(size_t shard, uint64_t observed_generation) {
 bool Router::PromoteAndRedrive(ShardState& state, size_t shard) {
   const uint16_t follower = state.endpoints.follower_port;
   common::RetryPolicy policy;
-  policy.max_attempts = std::max(1, options_.promote_connect_retries + 1);
+  policy.max_attempts = kPromoteConnectRetries + 1;
   policy.initial_backoff_millis = 25.0;
   policy.max_backoff_millis = 500.0;
   policy.retryable_codes = {common::StatusCode::kUnavailable};
   Status promoted = common::RetryWithPolicy(
       policy, "service.router.promote", [this, follower] {
         auto response = ForwardRaw(nullptr, follower, kPromoteLine,
-                                   options_.probe_timeout_millis);
+                                   kProbeTimeoutMillis);
         if (!response.ok()) return response.status();
         return ParseResponse(response.value()).status();
       });
@@ -798,7 +808,7 @@ bool Router::PromoteAndRedrive(ShardState& state, size_t shard) {
   }
   for (const auto& [id, submit_line] : to_redrive) {
     auto response = ForwardRaw(nullptr, follower, submit_line,
-                               options_.upstream_recv_timeout_millis);
+                               kUpstreamRecvTimeoutMillis);
     StatusOr<Json> parsed = response.ok()
                                 ? ParseResponse(response.value())
                                 : StatusOr<Json>(response.status());

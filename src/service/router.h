@@ -11,7 +11,7 @@
 // Routing: `submit` bodies are parsed with the same BuildJobRequest /
 // DatasetFingerprint code the shards run, so the router and the shard
 // compute the identical fingerprint; the fingerprint picks a shard on
-// a consistent-hash ring (vnodes_per_shard virtual nodes per shard),
+// a consistent-hash ring (kVnodesPerShard virtual nodes per shard),
 // which keeps near-identical repeat cohorts — the workload the result
 // cache exists for — landing on the same shard's cache slice.
 // Streaming-cohort traffic (the `ingest` verb and cohort submits)
@@ -91,18 +91,6 @@ struct RouterOptions {
   double probe_interval_millis = 250.0;
   /// Consecutive probe failures before the prober triggers failover.
   int probe_failures_before_failover = 3;
-  /// Forwarding attempts per client request; each transport failure
-  /// between attempts runs the failover path for the routed shard.
-  int max_forward_attempts = 3;
-  /// Recv ceiling on forwarded requests — must exceed the shards'
-  /// max_result_wait_millis or long `result` waits get cut short.
-  double upstream_recv_timeout_millis = 120000.0;
-  /// Recv ceiling on probe and failover-verification round-trips.
-  double probe_timeout_millis = 1000.0;
-  /// Connect retries against the follower during promotion.
-  int promote_connect_retries = 10;
-  /// Virtual nodes per shard on the consistent-hash ring.
-  size_t vnodes_per_shard = 64;
   size_t max_line_bytes = kMaxLineBytes;
 };
 

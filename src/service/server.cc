@@ -22,6 +22,10 @@ using common::StatusOr;
 
 namespace {
 
+/// Failsafe on a `shutdown` verb's graceful drain: connections that
+/// have not flushed and gone away by then are force-dropped.
+constexpr double kDrainTimeoutMillis = 5000.0;
+
 // Reads the required "job_id" field of a status/result/cancel request.
 StatusOr<JobId> ReadJobId(const Json& body) {
   const Json* field = body.Find("job_id");
@@ -65,8 +69,7 @@ AnalysisServer::AnalysisServer(ServerOptions options)
       idle_timeout_millis_(options.idle_timeout_millis),
       max_result_wait_millis_(
           std::max(1.0, options.max_result_wait_millis)),
-      max_line_bytes_(std::max<size_t>(1, options.max_line_bytes)),
-      drain_timeout_millis_(std::max(1.0, options.drain_timeout_millis)) {
+      max_line_bytes_(std::max<size_t>(1, options.max_line_bytes)) {
   role_.store(options.role);
 }
 
@@ -256,7 +259,7 @@ void AnalysisServer::OnRequestLine(int64_t id, Connection& conn,
   if (request.value().verb == "shutdown") {
     // Graceful drain; the response just enqueued is flushed before the
     // connection goes away (close-after-flush).
-    BeginDrain(drain_timeout_millis_);
+    BeginDrain(kDrainTimeoutMillis);
   }
 }
 

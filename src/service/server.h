@@ -72,9 +72,6 @@ struct ServerOptions {
   double max_result_wait_millis = 60000.0;
   /// Longest accepted NDJSON request line.
   size_t max_line_bytes = kMaxLineBytes;
-  /// Failsafe on graceful drain: connections that have not flushed and
-  /// gone away by then are force-dropped (clamped to >= 1 ms).
-  double drain_timeout_millis = 5000.0;
   /// Starting role. A follower rejects `submit` with UNAVAILABLE until
   /// it receives the `promote` verb (from the router, on primary
   /// death) — clients must not land jobs on a replica that the primary
@@ -234,7 +231,6 @@ class AnalysisServer {
   const double idle_timeout_millis_;
   const double max_result_wait_millis_;
   const size_t max_line_bytes_;
-  const double drain_timeout_millis_;
 };
 
 }  // namespace service

@@ -19,16 +19,6 @@
 namespace adahealth {
 namespace transform {
 
-/// Default nnz-density threshold at or below which the CSR
-/// representation beats dense for the clustering kernels. The fused
-/// screen does O(nnz) work per centroid instead of O(dims), but each
-/// sparse entry costs ~3x a dense lane (scattered accumulation vs a
-/// contiguous unrolled dot), so the measured crossover against the
-/// dense kernels sits near 10% — comfortably above the
-/// paper cohort's ~7% density. transform/vsm and cluster/kmeans both
-/// key their auto-selection off this value.
-inline constexpr double kDefaultSparseDensityThreshold = 0.10;
-
 /// One non-zero entry of a sparse row.
 struct SparseEntry {
   uint32_t column = 0;
@@ -94,14 +84,6 @@ class CsrMatrix {
   std::vector<size_t> row_offsets_{0};
   std::vector<SparseEntry> entries_;
 };
-
-/// Dot product of two sparse rows (two-pointer merge).
-double SparseDot(std::span<const SparseEntry> a,
-                 std::span<const SparseEntry> b);
-
-/// Cosine similarity of two sparse rows; 0 when either is empty.
-double SparseCosineSimilarity(std::span<const SparseEntry> a,
-                              std::span<const SparseEntry> b);
 
 // --- Clustering batch kernels -------------------------------------------
 //

@@ -73,45 +73,6 @@ TEST(AggregateTest, EmptyMatchGivesZeroStats) {
   EXPECT_DOUBLE_EQ(stats.mean, 0.0);
 }
 
-TEST(SortedFindTest, AscendingAndDescending) {
-  Collection collection = MakeCollection();
-  auto ascending = SortedFind(collection, Query::All(), "quality");
-  // 5 documents with quality (missing-field document last).
-  ASSERT_EQ(ascending.size(), 6u);
-  EXPECT_DOUBLE_EQ(ascending[0].Get("quality")->AsDouble(), 0.3);
-  EXPECT_DOUBLE_EQ(ascending[4].Get("quality")->AsDouble(), 0.9);
-  EXPECT_EQ(ascending[5].Get("quality"), nullptr);
-
-  auto descending =
-      SortedFind(collection, Query::All(), "quality", true);
-  EXPECT_DOUBLE_EQ(descending[0].Get("quality")->AsDouble(), 0.9);
-  EXPECT_EQ(descending[5].Get("quality"), nullptr);  // Missing last.
-}
-
-TEST(SortedFindTest, LimitTruncates) {
-  Collection collection = MakeCollection();
-  auto top2 = SortedFind(collection, Query::All(), "quality", true, 2);
-  ASSERT_EQ(top2.size(), 2u);
-  EXPECT_DOUBLE_EQ(top2[0].Get("quality")->AsDouble(), 0.9);
-  EXPECT_DOUBLE_EQ(top2[1].Get("quality")->AsDouble(), 0.7);
-}
-
-TEST(SortedFindTest, StringSortIsLexicographic) {
-  Collection collection = MakeCollection();
-  auto by_kind = SortedFind(collection, Query::All(), "kind");
-  ASSERT_GE(by_kind.size(), 5u);
-  EXPECT_EQ(by_kind[0].Get("kind")->AsString(), "cluster");
-  EXPECT_EQ(by_kind[4].Get("kind")->AsString(), "rule");
-}
-
-TEST(SortedFindTest, FilterApplies) {
-  Collection collection = MakeCollection();
-  auto rules = SortedFind(collection, Query().Eq("kind", Json("rule")),
-                          "quality", true);
-  ASSERT_EQ(rules.size(), 2u);
-  EXPECT_DOUBLE_EQ(rules[0].Get("quality")->AsDouble(), 0.7);
-}
-
 }  // namespace
 }  // namespace kdb
 }  // namespace adahealth

@@ -447,7 +447,7 @@ TEST(CohortStoreTest, WarmStartAppliesUntilDriftGateTrips) {
   EXPECT_EQ(store.stats().cold_fallbacks, 0);
 
   // A flood of new records (32 of 40 arrived since the analysis)
-  // exceeds drift_threshold: the stale centroids are dropped and the
+  // exceeds the drift threshold: the stale centroids are dropped and the
   // job degrades to a cold run.
   std::vector<dataset::RawExamRecord> flood;
   for (int i = 0; i < 30; ++i) {
@@ -500,7 +500,7 @@ TEST(CohortStoreTest, DriftGateMeasuresAgainstTheAnalyzedSnapshot) {
   store.OnAnalysisCommitted("ward", 1, 4, FakeSuccess(3, 2, 1.0));
 
   // 16 of the 20 live records are fresh relative to the analyzed
-  // snapshot — far past drift_threshold, so the job must run cold.
+  // snapshot — far past the drift threshold, so the job must run cold.
   auto job = store.BuildCohortJob("ward");
   ASSERT_TRUE(job.ok());
   EXPECT_TRUE(job.value().options.warm.centroids.empty());

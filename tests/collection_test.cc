@@ -23,13 +23,15 @@ TEST(CollectionTest, InsertAssignsSequentialIds) {
   EXPECT_EQ(collection.last_id(), 2);
 }
 
+Query ById(DocumentId id) { return Query().Eq("_id", Json(id)); }
+
 TEST(CollectionTest, FindById) {
   Collection collection("items");
   DocumentId id = collection.Insert(Doc("a", 7));
-  auto found = collection.FindById(id);
+  auto found = collection.FindOne(ById(id));
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->Get("value")->AsInt(), 7);
-  EXPECT_FALSE(collection.FindById(999).ok());
+  EXPECT_FALSE(collection.FindOne(ById(999)).ok());
 }
 
 TEST(CollectionTest, FindWithFilter) {
@@ -69,7 +71,7 @@ TEST(CollectionTest, UpdateByIdMergesFields) {
   update["extra"] = Json("new");
   update["_id"] = Json(int64_t{999});  // Must be ignored.
   ASSERT_TRUE(collection.UpdateById(id, Json(std::move(update))).ok());
-  auto found = collection.FindById(id);
+  auto found = collection.FindOne(ById(id));
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->Get("value")->AsInt(), 10);
   EXPECT_EQ(found->Get("extra")->AsString(), "new");
@@ -82,19 +84,6 @@ TEST(CollectionTest, UpdateErrors) {
   DocumentId id = collection.Insert(Doc("a", 1));
   EXPECT_FALSE(collection.UpdateById(999, Json(Json::Object{})).ok());
   EXPECT_FALSE(collection.UpdateById(id, Json(int64_t{1})).ok());
-}
-
-TEST(CollectionTest, DeleteById) {
-  Collection collection("items");
-  DocumentId first = collection.Insert(Doc("a", 1));
-  DocumentId second = collection.Insert(Doc("b", 2));
-  ASSERT_TRUE(collection.DeleteById(first).ok());
-  EXPECT_EQ(collection.size(), 1u);
-  EXPECT_FALSE(collection.FindById(first).ok());
-  EXPECT_TRUE(collection.FindById(second).ok());
-  EXPECT_FALSE(collection.DeleteById(first).ok());
-  // Ids are not reused after deletion.
-  EXPECT_GT(collection.Insert(Doc("c", 3)), second);
 }
 
 TEST(CollectionTest, IndexAcceleratedEqualityFind) {
@@ -122,7 +111,7 @@ TEST(CollectionTest, IndexCreatedAfterInsertsStillWorks) {
   EXPECT_EQ(matches[0].Get("value")->AsInt(), 7);
 }
 
-TEST(CollectionTest, IndexSurvivesUpdatesAndDeletes) {
+TEST(CollectionTest, IndexSurvivesUpdates) {
   Collection collection("items");
   collection.CreateIndex("kind");
   DocumentId id = collection.Insert(Doc("a", 1));
@@ -132,8 +121,6 @@ TEST(CollectionTest, IndexSurvivesUpdatesAndDeletes) {
   ASSERT_TRUE(collection.UpdateById(id, Json(std::move(update))).ok());
   EXPECT_EQ(collection.Find(Query().Eq("kind", Json("a"))).size(), 1u);
   EXPECT_EQ(collection.Find(Query().Eq("kind", Json("b"))).size(), 1u);
-  ASSERT_TRUE(collection.DeleteById(id).ok());
-  EXPECT_EQ(collection.Find(Query().Eq("kind", Json("b"))).size(), 0u);
 }
 
 TEST(CollectionTest, IndexMissBypassesScan) {
@@ -148,7 +135,7 @@ TEST(CollectionTest, RestorePreservesIdsAndAdvancesCounter) {
   auto document = Document::Parse(R"({"_id": 10, "kind": "restored"})");
   ASSERT_TRUE(document.ok());
   ASSERT_TRUE(collection.Restore(document.value()).ok());
-  EXPECT_TRUE(collection.FindById(10).ok());
+  EXPECT_TRUE(collection.FindOne(ById(10)).ok());
   EXPECT_EQ(collection.Insert(Doc("next", 1)), 11);
 }
 

@@ -86,7 +86,7 @@ class ReferenceCart {
       return node_id;
     }
 
-    double best_gain = options_.min_impurity_decrease;
+    double best_gain = kMinImpurityDecrease;
     int32_t best_feature = -1;
     double best_threshold = 0.0;
 

@@ -103,26 +103,6 @@ TEST(TopFractionCoverageTest, UnsortedInput) {
   EXPECT_DOUBLE_EQ(TopFractionCoverage(counts, 0.25), 0.70);
 }
 
-TEST(BucketsForCoverageTest, KnownValues) {
-  std::vector<int64_t> counts{70, 20, 5, 5};
-  EXPECT_EQ(BucketsForCoverage(counts, 0.5), 1u);
-  EXPECT_EQ(BucketsForCoverage(counts, 0.75), 2u);
-  EXPECT_EQ(BucketsForCoverage(counts, 1.0), 4u);
-  EXPECT_EQ(BucketsForCoverage(counts, 0.0), 0u);
-}
-
-TEST(PearsonCorrelationTest, PerfectCorrelations) {
-  std::vector<double> x{1, 2, 3, 4};
-  std::vector<double> y{2, 4, 6, 8};
-  EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
-  std::vector<double> z{8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, z), -1.0, 1e-12);
-}
-
-TEST(PearsonCorrelationTest, ConstantInputIsZero) {
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
-}
-
 }  // namespace
 }  // namespace stats
 }  // namespace adahealth

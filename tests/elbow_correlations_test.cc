@@ -1,10 +1,9 @@
-// Tests for the SSE-elbow analysis, maximal itemsets, and exam
-// correlation discovery.
+// Tests for the SSE-elbow analysis and exam correlation discovery
+// (Pearson correlation of per-patient exam counts).
 #include <gtest/gtest.h>
 #include "cluster/elbow.h"
 #include "common/rng.h"
 #include "dataset/synthetic_cohort.h"
-#include "patterns/fpgrowth.h"
 #include "stats/correlations.h"
 
 namespace adahealth {
@@ -52,38 +51,6 @@ TEST(ElbowTest, RejectsBadInput) {
   std::vector<cluster::SsePoint> fine{{2, 10.0}, {3, 5.0}, {4, 2.0}};
   EXPECT_FALSE(cluster::AnalyzeElbow(fine, 0.0).ok());
   EXPECT_FALSE(cluster::AnalyzeElbow(fine, 1.5).ok());
-}
-
-TEST(MaximalItemsetsTest, KeepsOnlySupersetFreeSets) {
-  std::vector<patterns::FrequentItemset> itemsets{
-      {{0}, 5}, {{1}, 4}, {{2}, 3}, {{0, 1}, 3}, {{0, 2}, 2}};
-  auto maximal = patterns::MaximalItemsets(itemsets);
-  auto contains = [&](const std::vector<patterns::ItemId>& items) {
-    for (const auto& itemset : maximal) {
-      if (itemset.items == items) return true;
-    }
-    return false;
-  };
-  EXPECT_FALSE(contains({0}));  // Subset of {0,1} and {0,2}.
-  EXPECT_FALSE(contains({1}));  // Subset of {0,1}.
-  EXPECT_FALSE(contains({2}));  // Subset of {0,2}.
-  EXPECT_TRUE(contains({0, 1}));
-  EXPECT_TRUE(contains({0, 2}));
-  EXPECT_EQ(maximal.size(), 2u);
-}
-
-TEST(MaximalItemsetsTest, MaximalSubsetOfClosed) {
-  // Every maximal itemset is closed (standard containment).
-  std::vector<patterns::FrequentItemset> itemsets{
-      {{0}, 5}, {{1}, 5}, {{0, 1}, 5}, {{2}, 4}, {{0, 2}, 2}};
-  auto closed = patterns::ClosedItemsets(itemsets);
-  auto maximal = patterns::MaximalItemsets(itemsets);
-  for (const auto& m : maximal) {
-    bool found = false;
-    for (const auto& c : closed) found |= c.items == m.items;
-    EXPECT_TRUE(found);
-  }
-  EXPECT_LE(maximal.size(), closed.size());
 }
 
 TEST(ExamCorrelationsTest, DetectsPlantedCorrelation) {
@@ -174,6 +141,53 @@ TEST(ExamCorrelationsTest, RejectsBadInput) {
                     .Generate();
   ASSERT_TRUE(cohort.ok());
   EXPECT_FALSE(stats::TopExamCorrelations(cohort->log, 0).ok());
+}
+
+/// A log where patient p underwent exam e `counts[e][p]` times.
+dataset::ExamLog LogFromCounts(const std::vector<std::vector<int>>& counts) {
+  std::vector<dataset::Patient> patients;
+  for (size_t p = 0; p < counts.front().size(); ++p) {
+    patients.push_back({static_cast<int32_t>(p), 50, -1});
+  }
+  dataset::ExamDictionary dictionary;
+  std::vector<dataset::ExamRecord> records;
+  for (size_t e = 0; e < counts.size(); ++e) {
+    auto exam = dictionary.Intern("exam_" + std::to_string(e));
+    for (size_t p = 0; p < counts[e].size(); ++p) {
+      for (int r = 0; r < counts[e][p]; ++r) {
+        records.push_back({static_cast<int32_t>(p), exam, r});
+      }
+    }
+  }
+  return dataset::ExamLog(std::move(patients), std::move(dictionary),
+                          std::move(records));
+}
+
+TEST(PearsonCorrelationTest, PerfectCorrelations) {
+  // Exam 1 is exam 0 doubled; exam 2 runs opposite to both.
+  dataset::ExamLog log =
+      LogFromCounts({{1, 2, 3, 4}, {2, 4, 6, 8}, {8, 6, 4, 2}});
+  auto correlations = stats::TopExamCorrelations(log, 3, 1);
+  ASSERT_TRUE(correlations.ok());
+  ASSERT_EQ(correlations->size(), 3u);
+  EXPECT_EQ((*correlations)[0].exam_a, 0);
+  EXPECT_EQ((*correlations)[0].exam_b, 1);
+  EXPECT_NEAR((*correlations)[0].correlation, 1.0, 1e-12);
+  EXPECT_NEAR((*correlations)[1].correlation, -1.0, 1e-12);
+  EXPECT_NEAR((*correlations)[2].correlation, -1.0, 1e-12);
+}
+
+TEST(PearsonCorrelationTest, ConstantExamHasNoCorrelation) {
+  // Exam 2 is given once to every patient: zero variance, so it pairs
+  // with nothing instead of dividing by a zero deviation.
+  dataset::ExamLog log =
+      LogFromCounts({{1, 2, 3}, {1, 3, 2}, {1, 1, 1}});
+  auto correlations = stats::TopExamCorrelations(log, 10, 1);
+  ASSERT_TRUE(correlations.ok());
+  ASSERT_EQ(correlations->size(), 1u);
+  EXPECT_EQ(correlations->front().exam_a, 0);
+  EXPECT_EQ(correlations->front().exam_b, 1);
+  EXPECT_NEAR(correlations->front().correlation, 0.5, 1e-12);
 }
 
 }  // namespace

@@ -970,6 +970,46 @@ TEST_F(FaultInjectionTest, IngestSnapshotFaultRollsBackTheWholeBatch) {
   EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 2);
 }
 
+/// The manifest write's own crash points (kdb::AtomicWriteFile steps
+/// under the "service.ingest.manifest" prefix): a failure at any of
+/// them rolls the batch back, leaves the prior generation loadable
+/// from disk and removes the temporary file.
+class FaultInjectionManifestTest
+    : public FaultInjectionTest,
+      public testing::WithParamInterface<const char*> {};
+
+TEST_P(FaultInjectionManifestTest, PriorGenerationLoadsWithoutResidue) {
+  service::CohortStoreOptions options;
+  options.directory = MakeScratchDir(GetParam());
+  service::CohortStore store(options);
+  std::vector<dataset::RawExamRecord> batch1 = {IngestRow(0, "ecg", 1)};
+  std::vector<dataset::RawExamRecord> batch2 = {IngestRow(1, "mri", 5)};
+  ASSERT_TRUE(store.Ingest("ward", batch1).ok());
+  const std::string committed = store.Snapshot("ward").value().ToCsv();
+
+  {
+    ScopedFailpoint crash(GetParam(),
+                          OneShotError(StatusCode::kDataLoss, "crash"));
+    auto failed = store.Ingest("ward", batch2);
+    EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+  }
+
+  EXPECT_FALSE(FileExists(options.directory + "/ward.manifest.json.tmp"));
+  {
+    service::CohortStore reloaded(options);
+    EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 1);
+    EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), committed);
+  }
+  auto retried = store.Ingest("ward", batch2);
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(retried.value().generation, 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(AtomicWriteSteps, FaultInjectionManifestTest,
+                         testing::Values("service.ingest.manifest.write",
+                                         "service.ingest.manifest.fsync",
+                                         "service.ingest.manifest.rename"));
+
 TEST_F(FaultInjectionTest, WarmSnapshotFaultDegradesNextJobToCold) {
   service::CohortStoreOptions options;
   options.directory = MakeScratchDir("ingest_warm");

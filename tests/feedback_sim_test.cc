@@ -1,6 +1,7 @@
 #include "core/feedback_sim.h"
 
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 #include "dataset/synthetic_cohort.h"
@@ -15,21 +16,6 @@ stats::MetaFeatures CohortFeatures() {
                     .Generate();
   EXPECT_TRUE(cohort.ok());
   return stats::ComputeMetaFeatures(cohort->log);
-}
-
-TEST(FeedbackSimTest, QualityDrivesItemLabels) {
-  PersonaConfig persona = DiabetologistPersona();
-  persona.noise_stddev = 0.0;  // Deterministic.
-  FeedbackSimulator simulator(persona, 1);
-  KnowledgeItem weak;
-  weak.goal = EndGoal::kPatientGrouping;
-  weak.quality = 0.0;
-  KnowledgeItem strong = weak;
-  strong.quality = 1.0;
-  Interest weak_label = simulator.LabelItem(weak);
-  Interest strong_label = simulator.LabelItem(strong);
-  EXPECT_GE(static_cast<int>(strong_label), static_cast<int>(weak_label));
-  EXPECT_EQ(strong_label, Interest::kHigh);
 }
 
 TEST(FeedbackSimTest, GoalAffinityDrivesLabels) {
@@ -82,20 +68,22 @@ TEST(FeedbackSimTest, NoiseProducesLabelVariation) {
 
 TEST(FeedbackSimTest, ThresholdsOrderLabels) {
   PersonaConfig persona;
-  persona.goal_affinity = {0.0, 0.0, 0.0, 0.0, 0.0};
-  persona.quality_weight = 1.0;
   persona.noise_stddev = 0.0;
   persona.high_threshold = 0.8;
   persona.medium_threshold = 0.4;
-  FeedbackSimulator simulator(persona, 13);
-  KnowledgeItem item;
-  item.goal = EndGoal::kComplianceOutcome;
-  item.quality = 0.2;
-  EXPECT_EQ(simulator.LabelItem(item), Interest::kLow);
-  item.quality = 0.6;
-  EXPECT_EQ(simulator.LabelItem(item), Interest::kMedium);
-  item.quality = 0.9;
-  EXPECT_EQ(simulator.LabelItem(item), Interest::kHigh);
+  // A default MetaFeatures has no records per patient, so the
+  // compliance utility is the bare goal affinity and the affinity alone
+  // walks the thresholds.
+  const stats::MetaFeatures features;
+  const std::pair<double, Interest> cases[] = {
+      {0.2, Interest::kLow}, {0.6, Interest::kMedium}, {0.9, Interest::kHigh}};
+  for (const auto& [affinity, expected] : cases) {
+    persona.goal_affinity[static_cast<size_t>(EndGoal::kComplianceOutcome)] =
+        affinity;
+    FeedbackSimulator simulator(persona, 13);
+    EXPECT_EQ(simulator.LabelGoal(features, EndGoal::kComplianceOutcome),
+              expected);
+  }
 }
 
 TEST(FeedbackSimTest, BuiltInPersonasAreDistinct) {

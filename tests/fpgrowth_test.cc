@@ -158,24 +158,6 @@ TEST(FpGrowthTest, AgreesOnSyntheticCohortTransactions) {
   EXPECT_GT(fpgrowth->size(), 0u);
 }
 
-TEST(ClosedItemsetsTest, FiltersNonClosed) {
-  // {0} support 3 is not closed if {0,1} also has support 3.
-  std::vector<FrequentItemset> itemsets{
-      {{0}, 3}, {{1}, 3}, {{0, 1}, 3}, {{2}, 2}, {{0, 2}, 1}};
-  std::vector<FrequentItemset> closed = ClosedItemsets(itemsets);
-  auto contains = [&](const std::vector<ItemId>& items) {
-    for (const auto& itemset : closed) {
-      if (itemset.items == items) return true;
-    }
-    return false;
-  };
-  EXPECT_FALSE(contains({0}));
-  EXPECT_FALSE(contains({1}));
-  EXPECT_TRUE(contains({0, 1}));
-  EXPECT_TRUE(contains({2}));   // Superset {0,2} has lower support.
-  EXPECT_TRUE(contains({0, 2}));
-}
-
 TEST(TransactionsTest, BuildTransactionsDeduplicates) {
   std::vector<dataset::Patient> patients{{0, 50, -1}, {1, 60, -1}};
   dataset::ExamDictionary dictionary;

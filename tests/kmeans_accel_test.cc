@@ -254,39 +254,43 @@ TEST(KMeansSparseTest, FourWayIdentityAcrossRandomizedDensities) {
 }
 
 TEST(KMeansSparseTest, AutoRepresentationDispatchesAndStaysIdentical) {
-  // 400 x 48 at ~10% density, which sits right at the default
-  // threshold's boundary — so both assertions pin the threshold
-  // explicitly (this test is about the dispatch mechanics, not the
-  // default value): kAuto on the dense overload must take the CSR
-  // path below the cutoff (visible via the metric) and still return
-  // the dense naive result exactly.
+  // 400 x 48 at 4% and at 30% density, well to either side of
+  // kSparseDensityThreshold: kAuto on the dense overload must take the
+  // CSR path below the cutoff (visible via the metric) and the dense
+  // kernels above it, and both must return the dense naive result
+  // exactly.
   common::Rng rng(20260810);
-  Matrix data = RandomSparseData(rng, 400, 48, 0.10);
+  Matrix sparse_data = RandomSparseData(rng, 400, 48, 0.04);
+  Matrix dense_data = RandomSparseData(rng, 400, 48, 0.30);
+  ASSERT_LT(internal::MeasuredDensity(sparse_data),
+            internal::kSparseDensityThreshold);
+  ASSERT_GT(internal::MeasuredDensity(dense_data),
+            internal::kSparseDensityThreshold);
 
   KMeansOptions options;
   options.k = 6;
   options.seed = 77;
-  options.sparse_density_threshold = 0.5;
   options.engine = KMeansEngine::kNaive;
   options.representation = KMeansRepresentation::kDense;
-  auto reference = RunKMeans(data, options);
+  auto reference = RunKMeans(sparse_data, options);
   ASSERT_TRUE(reference.ok());
+  auto dense_reference = RunKMeans(dense_data, options);
+  ASSERT_TRUE(dense_reference.ok());
 
   common::MetricsRegistry& metrics = common::MetricsRegistry::Default();
   metrics.Reset();
   options.engine = KMeansEngine::kAccelerated;
   options.representation = KMeansRepresentation::kAuto;
-  auto auto_run = RunKMeans(data, options);
+  auto auto_run = RunKMeans(sparse_data, options);
   ASSERT_TRUE(auto_run.ok());
   ExpectIdentical(*reference, *auto_run);
   EXPECT_EQ(metrics.GetCounter("kmeans/sparse_runs").value(), 1);
 
   // Above the threshold the dense kernels must be chosen instead.
   metrics.Reset();
-  options.sparse_density_threshold = 0.01;
-  auto dense_run = RunKMeans(data, options);
+  auto dense_run = RunKMeans(dense_data, options);
   ASSERT_TRUE(dense_run.ok());
-  ExpectIdentical(*reference, *dense_run);
+  ExpectIdentical(*dense_reference, *dense_run);
   EXPECT_EQ(metrics.GetCounter("kmeans/sparse_runs").value(), 0);
 }
 

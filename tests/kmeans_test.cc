@@ -3,6 +3,7 @@
 #include <set>
 
 #include <gtest/gtest.h>
+#include "cluster/quality.h"
 #include "common/metrics.h"
 #include "test_util.h"
 
@@ -63,19 +64,25 @@ TEST(KMeansTest, AssignmentsConsistentWithCentroids) {
 }
 
 TEST(KMeansTest, SseMatchesAssignments) {
+  // SumSquaredError is the reference: every engine and representation
+  // must report a Clustering::sse within 1e-12 relative of it,
+  // evaluated on the returned assignments and centroids.
   test::Blobs blobs = MakeBlobs({{0.0}, {4.0}}, 25, 0.4, 11);
-  KMeansOptions options;
-  options.k = 2;
-  auto clustering = RunKMeans(blobs.points, options);
-  ASSERT_TRUE(clustering.ok());
-  double sse = 0.0;
-  for (size_t i = 0; i < blobs.points.rows(); ++i) {
-    sse += transform::SquaredDistance(
-        blobs.points.Row(i),
-        clustering->centroids.Row(
-            static_cast<size_t>(clustering->assignments[i])));
+  for (KMeansEngine engine :
+       {KMeansEngine::kNaive, KMeansEngine::kAccelerated}) {
+    for (KMeansRepresentation representation :
+         {KMeansRepresentation::kDense, KMeansRepresentation::kSparse}) {
+      KMeansOptions options;
+      options.k = 2;
+      options.engine = engine;
+      options.representation = representation;
+      auto clustering = RunKMeans(blobs.points, options);
+      ASSERT_TRUE(clustering.ok());
+      const double reference = SumSquaredError(
+          blobs.points, clustering->assignments, clustering->centroids);
+      EXPECT_NEAR(clustering->sse, reference, 1e-12 * reference);
+    }
   }
-  EXPECT_NEAR(sse, clustering->sse, 1e-9);
 }
 
 TEST(KMeansTest, KEqualsOneGivesGlobalMean) {

@@ -63,34 +63,6 @@ TEST(CentroidOutlierTest, RejectsMismatchedShapes) {
   EXPECT_FALSE(CentroidOutlierScores(wrong, clustering.value()).ok());
 }
 
-TEST(KnnOutlierTest, PlantedOutlierScoresHighest) {
-  PlantedOutlier planted = MakePlanted();
-  auto scores = KnnOutlierScores(planted.points, 5);
-  ASSERT_TRUE(scores.ok());
-  EXPECT_EQ(TopOutliers(scores.value(), 1)[0], planted.outlier_row);
-}
-
-TEST(KnnOutlierTest, DenserPointsScoreLower) {
-  // Two points at distance 1 from each other, a third far away.
-  Matrix points(3, 1);
-  points.At(0, 0) = 0.0;
-  points.At(1, 0) = 1.0;
-  points.At(2, 0) = 100.0;
-  auto scores = KnnOutlierScores(points, 1);
-  ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], 1.0);
-  EXPECT_DOUBLE_EQ((*scores)[1], 1.0);
-  EXPECT_DOUBLE_EQ((*scores)[2], 99.0);
-}
-
-TEST(KnnOutlierTest, RejectsBadK) {
-  Matrix points(5, 1, 1.0);
-  EXPECT_FALSE(KnnOutlierScores(points, 0).ok());
-  EXPECT_FALSE(KnnOutlierScores(points, 5).ok());
-  Matrix single(1, 1, 1.0);
-  EXPECT_FALSE(KnnOutlierScores(single, 1).ok());
-}
-
 TEST(TopOutliersTest, OrderAndTruncation) {
   std::vector<double> scores{0.5, 3.0, 1.0, 3.0, 2.0};
   std::vector<size_t> top = TopOutliers(scores, 3);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include "cluster/kmeans.h"
+#include "core/session.h"
 #include "dataset/synthetic_cohort.h"
 #include "transform/vsm.h"
 
@@ -110,12 +111,18 @@ TEST(ClusterProfilesTest, TopKRespected) {
 }
 
 TEST(ClusterProfilesTest, FormatMentionsExamNames) {
+  // The session renders each profile into its cluster knowledge item.
   Fixture fixture = MakeFixture();
   auto profiles = BuildClusterProfiles(fixture.cohort.log, fixture.vsm,
                                        fixture.clustering);
   ASSERT_TRUE(profiles.ok());
   const ClusterProfile& profile = profiles->front();
-  std::string text = FormatClusterProfile(profile, fixture.cohort.log);
+  auto items = core::ClusterKnowledgeItems(fixture.cohort.log, fixture.vsm,
+                                           fixture.clustering);
+  ASSERT_TRUE(items.ok());
+  ASSERT_FALSE(items->empty());
+  ASSERT_EQ(items->front().id, "cluster:0");
+  const std::string& text = items->front().description;
   EXPECT_NE(text.find("group 0"), std::string::npos);
   EXPECT_NE(
       text.find(fixture.cohort.log.dictionary().Name(

@@ -1,5 +1,5 @@
-// Additional clustering-quality properties: the Calinski–Harabasz
-// index and cross-index consistency sweeps (parameterized).
+// Cross-index consistency sweeps of the clustering-quality indices
+// (parameterized).
 #include <gtest/gtest.h>
 #include "cluster/kmeans.h"
 #include "cluster/quality.h"
@@ -11,47 +11,9 @@ namespace {
 
 using transform::Matrix;
 
-TEST(CalinskiHarabaszTest, HigherForBetterSeparation) {
-  test::Blobs tight = test::MakeBlobs({{0.0, 0.0}, {20.0, 0.0}}, 40, 0.5,
-                                      131);
-  test::Blobs loose = test::MakeBlobs({{0.0, 0.0}, {2.0, 0.0}}, 40, 1.5,
-                                      131);
-  KMeansOptions options;
-  options.k = 2;
-  auto tight_clustering = RunKMeans(tight.points, options);
-  auto loose_clustering = RunKMeans(loose.points, options);
-  ASSERT_TRUE(tight_clustering.ok());
-  ASSERT_TRUE(loose_clustering.ok());
-  EXPECT_GT(CalinskiHarabaszIndex(tight.points,
-                                  tight_clustering->assignments, 2),
-            CalinskiHarabaszIndex(loose.points,
-                                  loose_clustering->assignments, 2));
-}
-
-TEST(CalinskiHarabaszTest, TrueLabelingBeatsRandom) {
-  test::Blobs blobs = test::MakeBlobs({{0.0}, {10.0}, {20.0}}, 30, 0.5,
-                                      133);
-  common::Rng rng(135);
-  std::vector<int32_t> random(blobs.points.rows());
-  for (auto& a : random) a = static_cast<int32_t>(rng.UniformUint64(3));
-  // Random assignment could leave a cluster empty; regenerate until not
-  // (deterministic seed, converges immediately in practice).
-  while (true) {
-    std::vector<int64_t> sizes(3, 0);
-    for (int32_t a : random) ++sizes[static_cast<size_t>(a)];
-    bool ok = true;
-    for (int64_t s : sizes) ok &= s > 0;
-    if (ok) break;
-    for (auto& a : random) a = static_cast<int32_t>(rng.UniformUint64(3));
-  }
-  EXPECT_GT(CalinskiHarabaszIndex(blobs.points, blobs.labels, 3),
-            10.0 * CalinskiHarabaszIndex(blobs.points, random, 3));
-}
-
 /// Property sweep: on well-separated blobs of every configuration, the
 /// k-means clustering at the true K must score better than a random
-/// labeling on every index (SSE lower, OS/silhouette/CH higher, DB
-/// lower).
+/// labeling on every index (SSE lower, overall similarity higher).
 struct IndexSweepCase {
   // 64-bit so the struct has no padding bytes: gtest names each case by
   // the bytes of its value, and padding would make the names vary.
@@ -101,15 +63,6 @@ TEST_P(QualityIndexSweep, AllIndicesPreferTrueStructure) {
   EXPECT_GT(OverallSimilarity(blobs.points, clustering->assignments,
                               param.k),
             OverallSimilarity(blobs.points, random, param.k));
-  EXPECT_GT(SilhouetteScore(blobs.points, clustering->assignments,
-                            param.k),
-            SilhouetteScore(blobs.points, random, param.k));
-  EXPECT_GT(CalinskiHarabaszIndex(blobs.points, clustering->assignments,
-                                  param.k),
-            CalinskiHarabaszIndex(blobs.points, random, param.k));
-  EXPECT_LT(DaviesBouldinIndex(blobs.points, clustering->assignments,
-                               param.k),
-            DaviesBouldinIndex(blobs.points, random, param.k));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -119,17 +72,6 @@ INSTANTIATE_TEST_SUITE_P(
                     IndexSweepCase{4, 20, 0.6, 3},
                     IndexSweepCase{5, 15, 0.7, 4},
                     IndexSweepCase{8, 12, 0.5, 5}));
-
-TEST(CalinskiHarabaszTest, ZeroWithinDispersion) {
-  // Two clusters of identical points each: within = 0 -> define 0.
-  Matrix points(4, 1);
-  points.At(0, 0) = 0.0;
-  points.At(1, 0) = 0.0;
-  points.At(2, 0) = 5.0;
-  points.At(3, 0) = 5.0;
-  std::vector<int32_t> labels{0, 0, 1, 1};
-  EXPECT_DOUBLE_EQ(CalinskiHarabaszIndex(points, labels, 2), 0.0);
-}
 
 }  // namespace
 }  // namespace cluster

@@ -38,16 +38,6 @@ TEST(ReportTest, ContainsAllSections) {
   EXPECT_NE(md.find("**selected**"), std::string::npos);
 }
 
-TEST(ReportTest, OptionalSectionsCanBeDisabled) {
-  ReportOptions options;
-  options.include_optimizer_table = false;
-  options.include_partial_mining = false;
-  std::string md = RenderSessionReport(RunOnce(), "x", options);
-  EXPECT_EQ(md.find("## Algorithm optimization"), std::string::npos);
-  EXPECT_EQ(md.find("## Adaptive partial mining"), std::string::npos);
-  EXPECT_NE(md.find("## Knowledge items"), std::string::npos);
-}
-
 TEST(ReportTest, MaxItemsTruncatesWithFootnote) {
   const SessionResult& result = RunOnce();
   ReportOptions options;

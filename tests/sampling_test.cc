@@ -58,20 +58,6 @@ TEST(SamplePatientsTest, RejectsBadFractions) {
   EXPECT_FALSE(SamplePatients(log, 1.1, rng).ok());
 }
 
-TEST(StratifiedSamplingTest, RepresentsAllActivityQuartiles) {
-  dataset::ExamLog log = MakeLog(100);
-  common::Rng rng(7);
-  auto sample = SamplePatientsStratifiedByActivity(log, 0.2, rng);
-  ASSERT_TRUE(sample.ok());
-  // 5 from each quartile.
-  EXPECT_EQ(sample->size(), 20u);
-  int quartile_hits[4] = {0, 0, 0, 0};
-  for (dataset::PatientId id : sample.value()) {
-    ++quartile_hits[std::min<int>(3, id / 25)];
-  }
-  for (int hits : quartile_hits) EXPECT_EQ(hits, 5);
-}
-
 TEST(BuildHorizontalScheduleTest, SubsetsAreNested) {
   dataset::ExamLog log = MakeLog(50);
   common::Rng rng(9);

@@ -147,21 +147,6 @@ TEST(CsrMatrixTest, Density) {
   EXPECT_DOUBLE_EQ(m.Density(), 5.0 / 12.0);
 }
 
-TEST(SparseOpsTest, SparseDotMergesColumns) {
-  CsrMatrix m = MakeMatrix();
-  // Row 0 = [1,0,2,0], row 2 = [0,3,4,5] -> dot = 8.
-  EXPECT_DOUBLE_EQ(SparseDot(m.Row(0), m.Row(2)), 8.0);
-  EXPECT_DOUBLE_EQ(SparseDot(m.Row(0), m.Row(1)), 0.0);
-}
-
-TEST(SparseOpsTest, CosineMatchesDense) {
-  CsrMatrix m = MakeMatrix();
-  Matrix dense = m.ToDense();
-  EXPECT_NEAR(SparseCosineSimilarity(m.Row(0), m.Row(2)),
-              CosineSimilarity(dense.Row(0), dense.Row(2)), 1e-12);
-  EXPECT_DOUBLE_EQ(SparseCosineSimilarity(m.Row(0), m.Row(1)), 0.0);
-}
-
 // --- Clustering batch kernels -------------------------------------------
 
 TEST(SparseKernelTest, RowSquaredNormsMatchDenseArithmetic) {

@@ -27,7 +27,6 @@ TEST(StatusTest, AllFactoryCodes) {
   EXPECT_EQ(FailedPreconditionError("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(OutOfRangeError("x").code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(UnimplementedError("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
   EXPECT_EQ(DataLossError("x").code(), StatusCode::kDataLoss);
   EXPECT_EQ(UnavailableError("x").code(), StatusCode::kUnavailable);

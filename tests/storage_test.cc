@@ -35,7 +35,7 @@ TEST(StorageTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(restored->size(), original.size());
   EXPECT_EQ(restored->last_id(), original.last_id());
   for (const Document& document : original.documents()) {
-    auto found = restored->FindById(document.id());
+    auto found = restored->FindOne(Query().Eq("_id", Json(document.id())));
     ASSERT_TRUE(found.ok());
     EXPECT_EQ(found.value(), document);
   }
@@ -111,7 +111,8 @@ TEST(StorageTest, SalvageRecoversPrefixBeforeTornFinalLine) {
   EXPECT_EQ(salvaged.dropped_lines, 1u);
   EXPECT_EQ(salvaged.detail.code(), common::StatusCode::kDataLoss);
   // IDs survive, so inserts after recovery do not collide.
-  EXPECT_TRUE(salvaged.collection.FindById(2).ok());
+  EXPECT_TRUE(
+      salvaged.collection.FindOne(Query().Eq("_id", Json(int64_t{2}))).ok());
 }
 
 TEST(StorageTest, SalvageOfEmptyFileIsEmptyCollection) {

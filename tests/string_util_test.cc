@@ -20,25 +20,11 @@ TEST(SplitTest, EmptyInputYieldsOneEmptyField) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(JoinTest, RoundTripsSplit) {
-  std::vector<std::string> parts{"alpha", "beta", "gamma"};
-  EXPECT_EQ(Split(Join(parts, "|"), '|'), parts);
-}
-
-TEST(JoinTest, EmptyAndSingle) {
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"only"}, ","), "only");
-}
-
 TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim("  hello \t\n"), "hello");
   EXPECT_EQ(Trim("nothing"), "nothing");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim(""), "");
-}
-
-TEST(ToLowerTest, AsciiOnly) {
-  EXPECT_EQ(ToLower("MiXeD 42!"), "mixed 42!");
 }
 
 TEST(ParseInt64Test, ParsesValidIntegers) {

