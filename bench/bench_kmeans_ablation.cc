@@ -8,7 +8,7 @@
 // ablates the accelerated engine's representation (sparse CSR vs
 // dense), since the cohort VSM is the sparse regime the CSR path
 // targets. Also keeps the original A1 reference points (kd-tree
-// filtering K-means, bisecting K-means, init strategies) for context.
+// filtering K-means, init strategies) for context.
 //
 // Writes BENCH_kmeans.json into the current working directory; run it
 // from the repo root to land the file there. Set ADA_BENCH_SMOKE=1 for
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/bisecting.h"
 #include "cluster/filtering_kmeans.h"
 #include "cluster/kmeans.h"
 #include "common/json.h"
@@ -240,9 +239,8 @@ int Run() {
               "accel: %.2fx\n",
               geomean_speedup, min_speedup, ablation_geomean);
 
-  // Reference points: the kd-tree filtering engine and bisecting
-  // K-means at the paper's K = 8 (full mode only; they are not part of
-  // the identity contract).
+  // Reference points: the kd-tree filtering engine at the paper's
+  // K = 8 (full mode only; it is not part of the identity contract).
   common::Json::Array reference;
   if (!smoke) {
     {
@@ -254,20 +252,6 @@ int Run() {
       if (clustering.ok()) {
         common::Json::Object row;
         row["algorithm"] = "filtering_kmeans";
-        row["millis"] = timer.ElapsedSeconds() * 1e3;
-        row["sse"] = clustering->sse;
-        reference.push_back(common::Json(std::move(row)));
-      }
-    }
-    {
-      cluster::BisectingOptions options;
-      options.k = 8;
-      options.seed = 20160516;
-      common::WallTimer timer;
-      auto clustering = cluster::RunBisectingKMeans(vsm, options);
-      if (clustering.ok()) {
-        common::Json::Object row;
-        row["algorithm"] = "bisecting_kmeans";
         row["millis"] = timer.ElapsedSeconds() * 1e3;
         row["sse"] = clustering->sse;
         reference.push_back(common::Json(std::move(row)));

@@ -13,7 +13,8 @@ int main() {
   using namespace adahealth;
 
   // 1. A dataset: here the bundled synthetic diabetic cohort at test
-  //    scale (swap in dataset::ExamLog::Load("your.csv") for real data).
+  //    scale (swap in dataset::ExamLog::FromCsv on a CSV of
+  //    patient_id,exam_type,day rows for real data).
   auto cohort =
       dataset::SyntheticCohortGenerator(dataset::TestScaleConfig())
           .Generate();

@@ -212,13 +212,5 @@ int64_t FailpointRegistry::hits(const std::string& point) const {
   return it == hit_counts_.end() ? 0 : it->second;
 }
 
-std::vector<std::string> FailpointRegistry::ArmedPoints() const {
-  MutexLock lock(&mutex_);
-  std::vector<std::string> points;
-  points.reserve(armed_.size());
-  for (const auto& [point, armed] : armed_) points.push_back(point);
-  return points;
-}
-
 }  // namespace common
 }  // namespace adahealth

@@ -89,6 +89,8 @@ class FailpointRegistry {
   void Disarm(const std::string& point) ADA_EXCLUDES(mutex_);
 
   /// Disarms everything and forgets all hit counters.
+  // ada-lint: allow(test-only-api): test hook: the registry is
+  // process-global, so tests reset it between cases.
   void Clear() ADA_EXCLUDES(mutex_);
 
   /// One hit of `point`: bumps its hit counter and, when the trigger
@@ -99,10 +101,6 @@ class FailpointRegistry {
 
   /// Total hits observed for `point` (armed or not).
   [[nodiscard]] int64_t hits(const std::string& point) const
-      ADA_EXCLUDES(mutex_);
-
-  /// Names of currently armed points, sorted.
-  [[nodiscard]] std::vector<std::string> ArmedPoints() const
       ADA_EXCLUDES(mutex_);
 
  private:

@@ -67,8 +67,6 @@ class [[nodiscard]] Status {
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
-  [[nodiscard]] static Status Ok() { return Status(); }
-
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }
   [[nodiscard]] StatusCode code() const { return code_; }
   [[nodiscard]] const std::string& message() const { return message_; }

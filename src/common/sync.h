@@ -63,9 +63,6 @@
 #define ADA_ACQUIRE(...) ADA_TSA_(acquire_capability(__VA_ARGS__))
 /// Function contract: releases capabilities the caller holds.
 #define ADA_RELEASE(...) ADA_TSA_(release_capability(__VA_ARGS__))
-/// Function contract: acquires the capability iff the return value
-/// equals the first argument.
-#define ADA_TRY_ACQUIRE(...) ADA_TSA_(try_acquire_capability(__VA_ARGS__))
 /// Function contract: the caller must NOT hold the listed capabilities
 /// (the function acquires them itself; holding one would deadlock).
 #define ADA_EXCLUDES(...) ADA_TSA_(locks_excluded(__VA_ARGS__))
@@ -94,9 +91,6 @@ class ADA_CAPABILITY("mutex") Mutex {
 
   void Lock() ADA_ACQUIRE() { mu_.lock(); }
   void Unlock() ADA_RELEASE() { mu_.unlock(); }
-  [[nodiscard]] bool TryLock() ADA_TRY_ACQUIRE(true) {
-    return mu_.try_lock();
-  }
 
  private:
   friend class CondVar;  // CondVar::Wait atomically releases mu_.

@@ -43,15 +43,6 @@ void ThreadPool::Shutdown() {
   }
 }
 
-void ThreadPool::Schedule(std::function<void()> task) {
-  {
-    MutexLock lock(&mutex_);
-    ADA_CHECK(!shutting_down_);
-    queue_.push_back(std::move(task));
-  }
-  task_available_.NotifyOne();
-}
-
 bool ThreadPool::TrySchedule(std::function<void()> task) {
   {
     MutexLock lock(&mutex_);

@@ -44,14 +44,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task` for execution. Scheduling after shutdown has begun
-  /// is a programmer error (ADA_CHECK); use TrySchedule when the pool's
-  /// lifetime is not under the caller's control.
-  void Schedule(std::function<void()> task) ADA_EXCLUDES(mutex_);
-
-  /// Like Schedule, but returns false (dropping `task`) instead of
-  /// aborting when the pool is already shutting down. Safe to call
-  /// concurrently with Shutdown.
+  /// Enqueues `task` for execution, or returns false (dropping `task`)
+  /// when the pool is already shutting down. Safe to call concurrently
+  /// with Shutdown.
   [[nodiscard]] bool TrySchedule(std::function<void()> task)
       ADA_EXCLUDES(mutex_);
 
@@ -69,10 +64,14 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Number of tasks so far whose execution ended in an exception.
+  // ada-lint: allow(test-only-api): test hook: how tests see that a
+  // throwing task was contained rather than lost.
   [[nodiscard]] size_t failed_tasks() const ADA_EXCLUDES(mutex_);
 
   /// what() of the first failed task ("" while failed_tasks() == 0;
   /// "unknown exception" for non-std::exception throws).
+  // ada-lint: allow(test-only-api): test hook: how tests see which
+  // failure a contained task reported.
   [[nodiscard]] std::string first_failure_message() const
       ADA_EXCLUDES(mutex_);
 

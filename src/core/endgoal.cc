@@ -127,7 +127,6 @@ Status EndGoalEngine::TrainFromFeedback(const kdb::Collection& feedback) {
   Status fit = model_->Fit(features, labels, kNumInterestLevels);
   if (!fit.ok()) return fit;
   trained_ = true;
-  training_samples_ = rows.size();
   return common::OkStatus();
 }
 

@@ -59,10 +59,6 @@ class EndGoalEngine {
   /// least two distinct interest labels; FAILED_PRECONDITION otherwise.
   [[nodiscard]] common::Status TrainFromFeedback(const kdb::Collection& feedback);
 
-  bool trained() const { return trained_; }
-  /// Number of feedback records used by the last training.
-  size_t training_samples() const { return training_samples_; }
-
   /// Predicts interest for one (dataset, goal) pair.
   /// FAILED_PRECONDITION before training.
   [[nodiscard]] common::StatusOr<Interest> PredictInterest(
@@ -81,7 +77,6 @@ class EndGoalEngine {
   ml::ClassifierFactory factory_;
   std::unique_ptr<ml::Classifier> model_;
   bool trained_ = false;
-  size_t training_samples_ = 0;
 };
 
 }  // namespace core

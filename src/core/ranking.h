@@ -29,6 +29,8 @@ class KnowledgeRanker {
                                 Interest interest);
 
   /// Current score of an item (NOT_FOUND on unknown ids).
+  // ada-lint: allow(test-only-api): test hook: the score behind Ranked()'s
+  // order, so tests can see feedback move it even when no rank changes.
   [[nodiscard]] common::StatusOr<double> ScoreOf(const std::string& item_id) const;
 
   /// Items ordered by descending score; ties broken by id for

@@ -89,18 +89,5 @@ int Taxonomy::LevelOf(TaxonomyNodeId node) const {
   return 2;
 }
 
-TaxonomyNodeId Taxonomy::ParentOf(TaxonomyNodeId node) const {
-  switch (LevelOf(node)) {
-    case 0:
-      return GroupNode(GroupOfLeaf(node));
-    case 1: {
-      int32_t group = node - static_cast<TaxonomyNodeId>(num_leaves());
-      return CategoryNode(CategoryOfGroup(group));
-    }
-    default:
-      return -1;
-  }
-}
-
 }  // namespace dataset
 }  // namespace adahealth

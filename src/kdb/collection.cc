@@ -80,18 +80,6 @@ std::vector<Document> Collection::Find(const Query& query,
   return matches;
 }
 
-StatusOr<Document> Collection::FindOne(const Query& query) const {
-  std::vector<Document> matches = Find(query, 1);
-  if (matches.empty()) {
-    return common::NotFoundError("no document matches query in " + name_);
-  }
-  return matches.front();
-}
-
-size_t Collection::Count(const Query& query) const {
-  return Find(query).size();
-}
-
 Status Collection::UpdateById(DocumentId id, const Json& fields) {
   KdbCounter("kdb/updates").Increment();
   if (!fields.is_object()) {

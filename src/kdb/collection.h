@@ -34,12 +34,6 @@ class Collection {
   /// an equality condition on an indexed path.
   std::vector<Document> Find(const Query& query, size_t limit = 0) const;
 
-  /// First match or NOT_FOUND.
-  [[nodiscard]] common::StatusOr<Document> FindOne(const Query& query) const;
-
-  /// Number of matching documents.
-  size_t Count(const Query& query) const;
-
   /// Merges `fields` (a JSON object) into the document with the given
   /// id; NOT_FOUND when absent, INVALID_ARGUMENT when not an object.
   [[nodiscard]] common::Status UpdateById(DocumentId id, const common::Json& fields);
@@ -50,9 +44,6 @@ class Collection {
 
   /// All documents in insertion order.
   const std::vector<Document>& documents() const { return documents_; }
-
-  /// Highest id ever assigned (for persistence round-trips).
-  DocumentId last_id() const { return next_id_ - 1; }
 
   /// Restores a document with a pre-assigned id (used by storage
   /// loading). Fails on duplicate or non-positive ids.

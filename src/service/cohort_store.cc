@@ -143,14 +143,6 @@ Json CohortStore::ManifestJson(const std::string& cohort,
   doc["cohort"] = cohort;
   doc["generation"] = state.generation;
   doc["committed_bytes"] = static_cast<int64_t>(state.committed_bytes);
-  doc["records"] = static_cast<int64_t>(state.log.num_records());
-  doc["patients"] = static_cast<int64_t>(state.log.num_patients());
-  Json::Object marginals;
-  for (const auto& [exam, count] : state.exam_marginals) {
-    marginals[exam] = count;
-  }
-  doc["exam_marginals"] = Json(std::move(marginals));
-  doc["distinct_pairs"] = static_cast<int64_t>(state.distinct_pairs.size());
   if (state.has_warm) {
     Json::Object warm;
     warm["analyzed_generation"] = state.analyzed_generation;
@@ -289,15 +281,6 @@ StatusOr<IngestResult> CohortStore::Ingest(
     discard_new();
     return applied;
   }
-  for (const dataset::RawExamRecord& row : rows) {
-    ++state.exam_marginals[row.exam_type];
-  }
-  // The batch's records are the log's tail; read their interned ids
-  // back for the density pair set.
-  const auto& records = state.log.records();
-  for (size_t i = records.size() - rows.size(); i < records.size(); ++i) {
-    state.distinct_pairs.emplace(records[i].patient, records[i].exam_type);
-  }
   state.generation += 1;
   state.committed_bytes += payload.size();
 
@@ -427,43 +410,6 @@ void CohortStore::OnAnalysisCommitted(const std::string& cohort,
   state = std::move(candidate);
 }
 
-StatusOr<CohortDescriptors> CohortStore::Descriptors(
-    const std::string& cohort) const {
-  common::MutexLock lock(&mutex_);
-  auto it = cohorts_.find(cohort);
-  if (it == cohorts_.end()) {
-    return common::NotFoundError("unknown cohort: '" + cohort + "'");
-  }
-  const CohortState& state = it->second;
-  CohortDescriptors descriptors;
-  descriptors.generation = state.generation;
-  descriptors.records = static_cast<int64_t>(state.log.num_records());
-  descriptors.patients = static_cast<int64_t>(state.log.num_patients());
-  descriptors.exam_types = static_cast<int64_t>(state.log.num_exam_types());
-  const double cells = static_cast<double>(descriptors.patients) *
-                       static_cast<double>(descriptors.exam_types);
-  descriptors.density =
-      cells > 0 ? static_cast<double>(state.distinct_pairs.size()) / cells
-                : 0.0;
-  descriptors.mean_records_per_patient =
-      descriptors.patients > 0
-          ? static_cast<double>(descriptors.records) /
-                static_cast<double>(descriptors.patients)
-          : 0.0;
-  descriptors.exam_marginals = state.exam_marginals;
-  return descriptors;
-}
-
-StatusOr<dataset::ExamLog> CohortStore::Snapshot(
-    const std::string& cohort) const {
-  common::MutexLock lock(&mutex_);
-  auto it = cohorts_.find(cohort);
-  if (it == cohorts_.end()) {
-    return common::NotFoundError("unknown cohort: '" + cohort + "'");
-  }
-  return it->second.log;
-}
-
 CohortStoreStats CohortStore::stats() const {
   common::MutexLock lock(&mutex_);
   CohortStoreStats stats = stats_;
@@ -486,11 +432,6 @@ Json CohortStore::StatsJson() const {
   object["cold_fallbacks"] = stats.cold_fallbacks;
   object["snapshot_failures"] = stats.snapshot_failures;
   return Json(std::move(object));
-}
-
-size_t CohortStore::num_cohorts() const {
-  common::MutexLock lock(&mutex_);
-  return cohorts_.size();
 }
 
 Status CohortStore::LoadCohort(const std::string& cohort) {
@@ -533,13 +474,6 @@ Status CohortStore::LoadCohort(const std::string& cohort) {
   state.generation = generation;
   state.log = std::move(log).value();
   state.committed_bytes = static_cast<size_t>(committed_bytes);
-  // Rebuild the incremental descriptors from the restored log (load is
-  // the one place a full pass is inherent — the log itself is re-read).
-  for (const dataset::ExamRecord& record : state.log.records()) {
-    ++state.exam_marginals[std::string(
-        state.log.dictionary().Name(record.exam_type))];
-    state.distinct_pairs.emplace(record.patient, record.exam_type);
-  }
 
   if (const Json* warm = manifest->Find("warm"); warm != nullptr) {
     const Json* centroids = warm->Find("centroids");

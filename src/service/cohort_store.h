@@ -13,19 +13,13 @@
 //  * `<name>.records` — the raw records CSV, appended in arrival
 //    order and fsync'd per batch;
 //  * `<name>.manifest.json` — everything else (generation, the byte
-//    count of the valid records prefix, the incrementally maintained
-//    descriptors, and the warm-start state), rewritten atomically
-//    (tmp + fsync + rename + directory fsync) after the records hit
-//    disk.
+//    count of the valid records prefix, and the warm-start state),
+//    rewritten atomically (tmp + fsync + rename + directory fsync)
+//    after the records hit disk.
 // A crash between the append and the manifest rename leaves stale
 // bytes past `committed_bytes` that the loader never reads and the
 // next append truncates away: the prior generation stays readable, a
 // batch is either fully committed or never happened.
-//
-// Descriptors (the paper's §2.1 characterization: counts, per-exam
-// marginals, matrix density) are maintained incrementally per batch —
-// never recomputed from the accumulated log on the ingest path — and
-// cross-checked against a full recompute by the tests.
 //
 // Delta re-analysis: after a cohort job succeeds, OnAnalysisCommitted
 // persists the selected centroids, the exam types their columns mean,
@@ -50,9 +44,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -78,20 +70,6 @@ struct IngestResult {
   int64_t batch_records = 0;  // Records in this batch.
   int64_t total_records = 0;  // Accumulated records after the batch.
   int64_t patients = 0;       // Accumulated distinct-patient count.
-};
-
-/// Point-in-time copy of one cohort's incrementally maintained §2.1
-/// descriptors.
-struct CohortDescriptors {
-  int64_t generation = 0;
-  int64_t records = 0;
-  int64_t patients = 0;
-  int64_t exam_types = 0;
-  /// Non-zero fraction of the patient x exam-type count matrix.
-  double density = 0.0;
-  double mean_records_per_patient = 0.0;
-  /// Per-exam record counts (the marginals), keyed by exam name.
-  std::map<std::string, int64_t> exam_marginals;
 };
 
 /// Exact per-store ingest counters (the `stats`/`health` "ingest"
@@ -167,20 +145,10 @@ class CohortStore {
                            const core::SessionResult& result)
       ADA_EXCLUDES(mutex_);
 
-  /// Descriptor snapshot; NOT_FOUND for unknown cohorts.
-  [[nodiscard]] common::StatusOr<CohortDescriptors> Descriptors(
-      const std::string& cohort) const ADA_EXCLUDES(mutex_);
-
-  /// Copy of the accumulated log (what a cohort job would analyze);
-  /// NOT_FOUND for unknown cohorts.
-  [[nodiscard]] common::StatusOr<dataset::ExamLog> Snapshot(
-      const std::string& cohort) const ADA_EXCLUDES(mutex_);
-
   [[nodiscard]] CohortStoreStats stats() const ADA_EXCLUDES(mutex_);
   /// The stats as the JSON object embedded in `stats`/`health`.
   [[nodiscard]] common::Json StatsJson() const ADA_EXCLUDES(mutex_);
 
-  [[nodiscard]] size_t num_cohorts() const ADA_EXCLUDES(mutex_);
   const CohortStoreOptions& options() const { return options_; }
 
  private:
@@ -189,9 +157,6 @@ class CohortStore {
     dataset::ExamLog log;
     /// Bytes of the records file covered by the last durable manifest.
     size_t committed_bytes = 0;
-    /// Incremental descriptors (see CohortDescriptors).
-    std::map<std::string, int64_t> exam_marginals;
-    std::set<std::pair<int32_t, int32_t>> distinct_pairs;
     /// Warm-start state from the last committed analysis.
     bool has_warm = false;
     transform::Matrix warm_centroids;

@@ -73,7 +73,6 @@ class Connection {
 
   [[nodiscard]] int64_t id() const { return id_; }
   [[nodiscard]] bool closed() const { return closed_; }
-  [[nodiscard]] bool awaiting() const { return awaiting_; }
   [[nodiscard]] std::chrono::steady_clock::time_point last_activity() const {
     return last_activity_;
   }

@@ -1,9 +1,6 @@
 #include "service/fingerprint.h"
 
-#include <cstring>
-
 #include "common/string_util.h"
-#include "stats/meta_features.h"
 #include "transform/vsm.h"
 
 namespace adahealth {
@@ -43,13 +40,6 @@ Fnv1a& Fnv1a::MixString(std::string_view text) {
 }
 
 Fnv1a& Fnv1a::MixInt(int64_t value) { return Mix(&value, sizeof(value)); }
-
-Fnv1a& Fnv1a::MixDouble(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return Mix(&bits, sizeof(bits));
-}
 
 std::string SessionOptionsSignature(const core::SessionOptions& options) {
   // SessionOptions::warm is deliberately NOT part of the signature:
@@ -112,11 +102,7 @@ std::string DatasetFingerprint(const dataset::ExamLog& log,
                                const core::SessionOptions& options) {
   Fnv1a hasher;
 
-  // (a) The §2.1 statistical descriptors.
-  stats::MetaFeatures features = stats::ComputeMetaFeatures(log);
-  for (double value : features.ToVector()) hasher.MixDouble(value);
-
-  // (b) Dataset content: the record stream plus the dictionary names
+  // (a) Dataset content: the record stream plus the dictionary names
   // (which surface verbatim in knowledge-item descriptions).
   hasher.MixInt(static_cast<int64_t>(log.num_patients()));
   for (const dataset::ExamRecord& record : log.records()) {
@@ -128,7 +114,7 @@ std::string DatasetFingerprint(const dataset::ExamLog& log,
     hasher.MixString(log.dictionary().Name(static_cast<int32_t>(exam)));
   }
 
-  // (c) Every report-affecting option.
+  // (b) Every report-affecting option.
   hasher.MixString(SessionOptionsSignature(options));
 
   return common::StrFormat("%016llx",

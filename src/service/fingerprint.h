@@ -9,11 +9,13 @@
 // data, the dictionary names that appear in knowledge descriptions, or
 // any options knob) must change it.
 //
-// The key is a 64-bit FNV-1a digest over (a) the §2.1 statistical
-// descriptors (stats::MetaFeatures) of the log, (b) the raw record
-// stream and exam dictionary — descriptors alone could collide for
-// distinct logs, and the cache serves reports verbatim — and (c) a
-// canonical signature of every report-affecting SessionOptions field.
+// The key is a 64-bit FNV-1a digest over (a) the dataset content — the
+// patient count, the raw record stream and the exam dictionary names —
+// and (b) a canonical signature of every report-affecting
+// SessionOptions field. The §2.1 descriptors (stats::MetaFeatures) are
+// not mixed in: an ExamRecord holds only patient, exam type and day, so
+// they are a pure function of (a) and could not tell apart two logs
+// that (a) does not, while they cost most of the hashing time.
 #ifndef ADAHEALTH_SERVICE_FINGERPRINT_H_
 #define ADAHEALTH_SERVICE_FINGERPRINT_H_
 
@@ -28,14 +30,12 @@
 namespace adahealth {
 namespace service {
 
-/// Incremental 64-bit FNV-1a hasher. Doubles are mixed by bit pattern
-/// so the digest is exact (no formatting round-off).
+/// Incremental 64-bit FNV-1a hasher.
 class Fnv1a {
  public:
   Fnv1a& Mix(const void* data, size_t size);
   Fnv1a& MixString(std::string_view text);
   Fnv1a& MixInt(int64_t value);
-  Fnv1a& MixDouble(double value);
 
   uint64_t digest() const { return hash_; }
 

@@ -95,7 +95,9 @@ class LogShipper {
 
   /// Blocks until the queue is empty and the last entry was
   /// acknowledged, or `timeout_millis` elapses; returns whether the
-  /// queue drained. Tests and graceful shutdown use this.
+  /// queue drained.
+  // ada-lint: allow(test-only-api): test hook: lets tests wait until
+  // the follower holds every committed result before they check it.
   [[nodiscard]] bool WaitUntilDrained(double timeout_millis)
       ADA_EXCLUDES(mutex_);
 

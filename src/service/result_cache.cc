@@ -159,14 +159,6 @@ void ResultCache::Insert(CachedAnalysis entry) {
   TouchMetricsLocked();
 }
 
-void ResultCache::Clear() {
-  common::MutexLock lock(&mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  TouchMetricsLocked();
-}
-
 size_t ResultCache::entries() const {
   common::MutexLock lock(&mutex_);
   return lru_.size();

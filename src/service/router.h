@@ -133,8 +133,9 @@ class Router {
   [[nodiscard]] uint16_t port() const { return port_; }
   [[nodiscard]] RouterStats stats() const;
 
-  /// Shard a fingerprint routes to right now (dead shards skipped);
-  /// exposed for tests asserting ring placement.
+  /// Shard a fingerprint routes to right now (dead shards skipped).
+  // ada-lint: allow(test-only-api): test hook: lets tests assert ring
+  // placement and find the shard that owns a key.
   [[nodiscard]] size_t ShardFor(const std::string& fingerprint) const
       ADA_EXCLUDES(mutex_);
 

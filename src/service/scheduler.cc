@@ -326,11 +326,6 @@ bool Scheduler::Unsubscribe(SubscriptionId id) {
   return true;
 }
 
-void Scheduler::Pause() {
-  common::MutexLock lock(&mutex_);
-  paused_ = true;
-}
-
 void Scheduler::Resume() {
   common::MutexLock lock(&mutex_);
   paused_ = false;
@@ -338,19 +333,6 @@ void Scheduler::Resume() {
     lock.Unlock();
     DrainLoop();
   }
-}
-
-void Scheduler::Drain() {
-  common::MutexLock lock(&mutex_);
-  paused_ = false;
-  if (SpawnWorkersLocked()) {
-    lock.Unlock();
-    DrainLoop();
-    lock.Lock();
-  }
-  workers_idle_.Wait(mutex_, [this]() ADA_REQUIRES(mutex_) {
-    return pending_.empty() && active_workers_ == 0;
-  });
 }
 
 SchedulerStats Scheduler::stats() const {

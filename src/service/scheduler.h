@@ -130,7 +130,8 @@ struct SchedulerOptions {
   /// batching keeps a busy scheduler from rewriting the file per job;
   /// the destructor's final flush bounds the loss window to a crash.
   size_t cache_persist_threshold = 8;
-  /// Construction-time Pause() (tests: stage jobs deterministically).
+  /// Queue submissions without dispatching them until Resume() (tests:
+  /// stage jobs deterministically).
   bool start_paused = false;
   /// Fired after a session's artifacts are committed to the result
   /// cache (insert + batched persist), outside the scheduler lock —
@@ -225,14 +226,10 @@ class Scheduler {
   /// must then expect the notification to arrive.
   bool Unsubscribe(SubscriptionId id) ADA_EXCLUDES(mutex_);
 
-  /// Stops dispatching queued jobs (running jobs finish). Idempotent.
-  void Pause() ADA_EXCLUDES(mutex_);
-  /// Resumes dispatching.
+  /// Starts dispatching the jobs a `start_paused` scheduler queued.
+  // ada-lint: allow(test-only-api): test hook: with start_paused, lets
+  // tests stage jobs deterministically before any of them runs.
   void Resume() ADA_EXCLUDES(mutex_);
-
-  /// Blocks until the queue is empty and every worker has retired.
-  /// Resumes a paused scheduler first (a paused drain would deadlock).
-  void Drain() ADA_EXCLUDES(mutex_);
 
   [[nodiscard]] SchedulerStats stats() const ADA_EXCLUDES(mutex_);
   /// Stats plus cache counters as one JSON object (the `stats` verb).

@@ -586,24 +586,6 @@ std::string AnalysisServer::Dispatch(const Request& request) {
     return OkResponse(SnapshotFields(snapshot.value(),
                                      /*include_artifacts=*/false));
   }
-  if (request.verb == "result") {
-    // Blocking fallback for direct (socket-less) dispatch; the wire
-    // path goes through HandleResultVerb instead. The same server-side
-    // wait cap applies.
-    auto id = ReadJobId(request.body);
-    if (!id.ok()) return ErrorResponse(id.status());
-    auto snapshot =
-        scheduler_.AwaitResult(id.value(), EffectiveResultWait(request.body));
-    if (!snapshot.ok()) {
-      if (snapshot.status().code() ==
-          common::StatusCode::kDeadlineExceeded) {
-        return ResultTimeoutResponse(id.value());
-      }
-      return ErrorResponse(snapshot.status());
-    }
-    return OkResponse(SnapshotFields(snapshot.value(),
-                                     /*include_artifacts=*/true));
-  }
   if (request.verb == "cancel") {
     auto id = ReadJobId(request.body);
     if (!id.ok()) return ErrorResponse(id.status());

@@ -122,19 +122,6 @@ class AnalysisServer {
   /// The replication shipper, or nullptr when replicate_to_port is 0.
   [[nodiscard]] LogShipper* shipper() { return shipper_.get(); }
 
-  /// The streaming cohort store backing the `ingest` verb and cohort
-  /// submissions (always constructed; in-memory when
-  /// ServerOptions::cohort_directory is empty).
-  [[nodiscard]] CohortStore& cohort_store() { return *cohort_store_; }
-
-  /// Handles one already-parsed request and returns the serialized
-  /// response line. Exposed so tests can drive the dispatch table
-  /// without sockets; on this path the `result` verb blocks the
-  /// calling thread (capped at max_result_wait_millis) and `shutdown`
-  /// only builds its response — the wire path is what triggers the
-  /// drain.
-  [[nodiscard]] std::string Dispatch(const Request& request);
-
  private:
   /// Per-connection record: the connection itself plus the state of
   /// its parked `result` wait, if any. Loop thread only.
@@ -163,6 +150,11 @@ class AnalysisServer {
   [[nodiscard]] std::unique_ptr<CohortStore> MakeCohortStore(
       ServerOptions& options);
 
+  /// Handles one already-parsed request other than `result` (which
+  /// OnRequestLine parks through HandleResultVerb) and returns the
+  /// serialized response line. For `shutdown` it only builds the
+  /// response; OnRequestLine triggers the drain.
+  [[nodiscard]] std::string Dispatch(const Request& request);
   /// Dispatch helpers for the cohort verbs (see Dispatch).
   [[nodiscard]] std::string DispatchIngest(const common::Json& body);
   [[nodiscard]] std::string DispatchCohortSubmit(const common::Json& body);

@@ -69,20 +69,6 @@ std::vector<double> MetaFeatures::ToVector() const {
           mean_patient_coverage};
 }
 
-std::vector<std::string> MetaFeatures::FeatureNames() {
-  return {"num_patients",
-          "num_exam_types",
-          "num_records",
-          "density",
-          "mean_records_per_patient",
-          "stddev_records_per_patient",
-          "exam_frequency_entropy",
-          "exam_frequency_gini",
-          "top20_coverage",
-          "top40_coverage",
-          "mean_patient_coverage"};
-}
-
 MetaFeatures ComputeMetaFeatures(const dataset::ExamLog& log) {
   MetaFeatures features;
   features.num_patients = static_cast<int64_t>(log.num_patients());

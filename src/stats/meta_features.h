@@ -46,11 +46,8 @@ struct MetaFeatures {
   [[nodiscard]] static common::StatusOr<MetaFeatures> FromJson(const common::Json& json);
 
   /// Flattens to a fixed-order numeric vector (model input for the
-  /// end-goal classifiers). Order matches FeatureNames().
+  /// end-goal classifiers): the fields above, in declaration order.
   std::vector<double> ToVector() const;
-
-  /// Names of the ToVector() dimensions.
-  static std::vector<std::string> FeatureNames();
 };
 
 /// Computes the meta-features of `log`.

@@ -1,5 +1,4 @@
-// Streaming-cohort coverage: batch-atomic ingestion, incremental §2.1
-// descriptors cross-checked against a full recompute, crash-safe
+// Streaming-cohort coverage: batch-atomic ingestion, crash-safe
 // persistence with torn-append salvage, the warm-start drift gate, the
 // scheduler's versioned fingerprints with stale-generation supersede,
 // cache supersede-exactly-once, the server's `ingest` verb — and the
@@ -31,7 +30,6 @@
 #include "service/result_cache.h"
 #include "service/scheduler.h"
 #include "service/server.h"
-#include "stats/meta_features.h"
 #include "transform/matrix.h"
 
 namespace adahealth {
@@ -144,11 +142,11 @@ TEST(CohortStoreTest, IngestAccumulatesLikeDirectAppend) {
   dataset::ExamLog direct;
   ASSERT_TRUE(direct.Append(batch1).ok());
   ASSERT_TRUE(direct.Append(batch2).ok());
-  auto snapshot = store.Snapshot("ward");
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot.value().ToCsv(), direct.ToCsv());
+  auto job = store.BuildCohortJob("ward");
+  ASSERT_TRUE(job.ok());
+  EXPECT_EQ(job.value().log.ToCsv(), direct.ToCsv());
+  EXPECT_EQ(job.value().cohort_generation, 2);
 
-  EXPECT_EQ(store.num_cohorts(), 1u);
   service::CohortStoreStats stats = store.stats();
   EXPECT_EQ(stats.batches, 2);
   EXPECT_EQ(stats.records, 5);
@@ -176,9 +174,7 @@ TEST(CohortStoreTest, RejectsInvalidNamesBatchesAndRecords) {
             StatusCode::kInvalidArgument);
 
   // A rejected batch never materializes the cohort.
-  EXPECT_EQ(store.num_cohorts(), 0u);
-  EXPECT_EQ(store.Snapshot("ward").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.Descriptors("ward").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.stats().cohorts, 0);
   EXPECT_EQ(store.BuildCohortJob("ward").status().code(),
             StatusCode::kNotFound);
 }
@@ -193,54 +189,6 @@ TEST(CohortStoreTest, CohortNameValidation) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental descriptors.
-
-TEST(CohortStoreTest, IncrementalDescriptorsMatchFullRecompute) {
-  service::CohortStore store(service::CohortStoreOptions{});
-  std::vector<dataset::RawExamRecord> rows = ToRaw(MakeSyntheticLog(17, 80));
-  ASSERT_GT(rows.size(), 8u);
-
-  // Four uneven batches; after each the incrementally maintained
-  // descriptors must match stats::ComputeMetaFeatures run from scratch
-  // on the accumulated snapshot.
-  const size_t cuts[] = {rows.size() / 7, rows.size() / 3,
-                         (rows.size() * 3) / 4, rows.size()};
-  size_t start = 0;
-  int64_t generation = 0;
-  for (size_t cut : cuts) {
-    std::vector<dataset::RawExamRecord> batch(rows.begin() + start,
-                                              rows.begin() + cut);
-    start = cut;
-    ASSERT_TRUE(store.Ingest("icu", batch).ok());
-    ++generation;
-
-    auto descriptors = store.Descriptors("icu");
-    ASSERT_TRUE(descriptors.ok());
-    auto snapshot = store.Snapshot("icu");
-    ASSERT_TRUE(snapshot.ok());
-    stats::MetaFeatures full = stats::ComputeMetaFeatures(snapshot.value());
-
-    EXPECT_EQ(descriptors.value().generation, generation);
-    EXPECT_EQ(descriptors.value().records, full.num_records);
-    EXPECT_EQ(descriptors.value().patients, full.num_patients);
-    EXPECT_EQ(descriptors.value().exam_types, full.num_exam_types);
-    EXPECT_DOUBLE_EQ(descriptors.value().density, full.density);
-    EXPECT_DOUBLE_EQ(descriptors.value().mean_records_per_patient,
-                     full.mean_records_per_patient);
-
-    // The marginals partition the record count.
-    int64_t marginal_sum = 0;
-    for (const auto& [exam, count] : descriptors.value().exam_marginals) {
-      EXPECT_GT(count, 0) << exam;
-      marginal_sum += count;
-    }
-    EXPECT_EQ(marginal_sum, full.num_records);
-    EXPECT_EQ(static_cast<int64_t>(descriptors.value().exam_marginals.size()),
-              full.num_exam_types);
-  }
-}
-
-// ---------------------------------------------------------------------
 // Persistence.
 
 TEST(CohortStoreTest, PersistsAndReloadsAcrossStores) {
@@ -248,8 +196,9 @@ TEST(CohortStoreTest, PersistsAndReloadsAcrossStores) {
   service::CohortStoreOptions options;
   options.directory = dir;
 
-  std::string csv;
-  service::CohortDescriptors before;
+  dataset::ExamLog direct;
+  ASSERT_TRUE(direct.Append({Raw(0, "ecg", 1), Raw(1, "xray", 2)}).ok());
+  ASSERT_TRUE(direct.Append({Raw(2, "ecg", 3)}).ok());
   {
     service::CohortStore store(options);
     ASSERT_TRUE(
@@ -258,29 +207,41 @@ TEST(CohortStoreTest, PersistsAndReloadsAcrossStores) {
     // A committed analysis at the current generation becomes durable
     // warm state.
     store.OnAnalysisCommitted("ward", 2, 3, FakeSuccess(3, 5, 0.25));
-    csv = store.Snapshot("ward").value().ToCsv();
-    before = store.Descriptors("ward").value();
+  }
+
+  // A cohort persisted by an older build, whose manifest also carried
+  // record/patient counts and the per-exam descriptors. The loader
+  // reads none of those fields, so the cohort loads as written.
+  const std::string legacy_records =
+      "patient_id,exam_type,day\n0,ecg,1\n1,xray,2\n";
+  const std::string legacy_manifest =
+      "{\"cohort\": \"legacy\", \"generation\": 1, \"committed_bytes\": " +
+      std::to_string(legacy_records.size()) +
+      ", \"records\": 2, \"patients\": 2, \"distinct_pairs\": 2, "
+      "\"exam_marginals\": {\"ecg\": 1, \"xray\": 1}}\n";
+  for (const auto& [name, text] :
+       {std::pair{"legacy.records", legacy_records},
+        std::pair{"legacy.manifest.json", legacy_manifest}}) {
+    std::FILE* file = std::fopen((dir + "/" + name).c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), file), text.size());
+    std::fclose(file);
   }
 
   service::CohortStore reloaded(options);
-  EXPECT_EQ(reloaded.num_cohorts(), 1u);
-  auto snapshot = reloaded.Snapshot("ward");
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot.value().ToCsv(), csv);
+  EXPECT_EQ(reloaded.stats().cohorts, 2);
+  EXPECT_EQ(reloaded.stats().generations, 3);
+  auto legacy = reloaded.BuildCohortJob("legacy");
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy.value().cohort_generation, 1);
+  EXPECT_EQ(legacy.value().log.ToCsv(), legacy_records);
 
-  auto after = reloaded.Descriptors("ward");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().generation, before.generation);
-  EXPECT_EQ(after.value().records, before.records);
-  EXPECT_EQ(after.value().patients, before.patients);
-  EXPECT_DOUBLE_EQ(after.value().density, before.density);
-  EXPECT_EQ(after.value().exam_marginals, before.exam_marginals);
-
-  // The warm-start state survived the reload.
+  // The records and the warm-start state survived the reload.
   auto job = reloaded.BuildCohortJob("ward");
   ASSERT_TRUE(job.ok());
   EXPECT_EQ(job.value().cohort, "ward");
   EXPECT_EQ(job.value().cohort_generation, 2);
+  EXPECT_EQ(job.value().log.ToCsv(), direct.ToCsv());
   EXPECT_EQ(job.value().options.warm.centroids,
             transform::Matrix(3, 5, 0.25));
   EXPECT_EQ(job.value().options.warm.best_k, 3);
@@ -299,7 +260,7 @@ TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
   {
     service::CohortStore store(options);
     ASSERT_TRUE(store.Ingest("ward", batch1).ok());
-    committed_csv = store.Snapshot("ward").value().ToCsv();
+    committed_csv = store.BuildCohortJob("ward")->log.ToCsv();
   }
 
   // Simulate a crash mid-append: bytes hit the records file but the
@@ -316,11 +277,11 @@ TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
   // The loader reads only the committed prefix: generation 1 stays
   // fully readable, the residue is never parsed.
   service::CohortStore salvaged(options);
-  EXPECT_EQ(salvaged.num_cohorts(), 1u);
-  auto snapshot = salvaged.Snapshot("ward");
+  EXPECT_EQ(salvaged.stats().cohorts, 1);
+  auto snapshot = salvaged.BuildCohortJob("ward");
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot.value().ToCsv(), committed_csv);
-  EXPECT_EQ(salvaged.Descriptors("ward").value().generation, 1);
+  EXPECT_EQ(snapshot.value().log.ToCsv(), committed_csv);
+  EXPECT_EQ(snapshot.value().cohort_generation, 1);
 
   // The next append truncates the residue before writing, so the file
   // stays parseable end to end.
@@ -330,10 +291,10 @@ TEST(CohortStoreTest, TornAppendResidueIsInvisibleAndTruncated) {
   ASSERT_TRUE(direct.Append(batch1).ok());
   ASSERT_TRUE(direct.Append(batch2).ok());
   service::CohortStore reloaded(options);
-  auto final_snapshot = reloaded.Snapshot("ward");
+  auto final_snapshot = reloaded.BuildCohortJob("ward");
   ASSERT_TRUE(final_snapshot.ok());
-  EXPECT_EQ(final_snapshot.value().ToCsv(), direct.ToCsv());
-  EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 2);
+  EXPECT_EQ(final_snapshot.value().log.ToCsv(), direct.ToCsv());
+  EXPECT_EQ(final_snapshot.value().cohort_generation, 2);
 }
 
 TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
@@ -357,7 +318,7 @@ TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
   }
 
   service::CohortStore store(options);
-  EXPECT_EQ(store.num_cohorts(), 0u);  // No manifest, no cohort.
+  EXPECT_EQ(store.stats().cohorts, 0);  // No manifest, no cohort.
 
   std::vector<dataset::RawExamRecord> batch = {Raw(0, "ecg", 1),
                                                Raw(1, "xray", 2)};
@@ -367,11 +328,10 @@ TEST(CohortStoreTest, FirstBatchCrashResidueIsClearedNotAppendedAfter) {
   // committed batch: no ghost records, no parse failure.
   dataset::ExamLog direct;
   ASSERT_TRUE(direct.Append(batch).ok());
-  EXPECT_EQ(store.Snapshot("ward").value().ToCsv(), direct.ToCsv());
+  EXPECT_EQ(store.BuildCohortJob("ward")->log.ToCsv(), direct.ToCsv());
   service::CohortStore reloaded(options);
-  ASSERT_EQ(reloaded.num_cohorts(), 1u);
-  EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), direct.ToCsv());
-  EXPECT_EQ(reloaded.Descriptors("ward").value().records, 2);
+  ASSERT_EQ(reloaded.stats().cohorts, 1);
+  EXPECT_EQ(reloaded.BuildCohortJob("ward")->log.ToCsv(), direct.ToCsv());
 }
 
 TEST(CohortStoreTest, ExpectedGenerationGuardsAgainstReplay) {
@@ -388,22 +348,23 @@ TEST(CohortStoreTest, ExpectedGenerationGuardsAgainstReplay) {
   // batch landed.
   auto replay = store.Ingest("ward", batch, /*expected_generation=*/0);
   EXPECT_EQ(replay.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 1);
-  EXPECT_EQ(store.Descriptors("ward").value().records, 1);
+  EXPECT_EQ(store.stats().generations, 1);
+  EXPECT_EQ(store.stats().records, 1);
 
   // The guard also refuses a fork: a fresh (empty) cohort cannot
   // absorb a guarded batch meant for generation 1 of the original.
   auto forked = store.Ingest("fork", batch, /*expected_generation=*/1);
   EXPECT_EQ(forked.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store.num_cohorts(), 1u);
+  EXPECT_EQ(store.stats().cohorts, 1);
 
   // Matching generation commits; unconditional appends stay unchanged.
   ASSERT_TRUE(
       store.Ingest("ward", {Raw(1, "mri", 2)}, /*expected_generation=*/1)
           .ok());
-  ASSERT_TRUE(store.Ingest("ward", {Raw(2, "ecg", 3)}).ok());
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 3);
-  EXPECT_EQ(store.Descriptors("ward").value().records, 3);
+  auto last = store.Ingest("ward", {Raw(2, "ecg", 3)});
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value().generation, 3);
+  EXPECT_EQ(last.value().total_records, 3);
 }
 
 // ---------------------------------------------------------------------

@@ -20,7 +20,6 @@ TEST(CollectionTest, InsertAssignsSequentialIds) {
   EXPECT_EQ(collection.Insert(Doc("a", 1)), 1);
   EXPECT_EQ(collection.Insert(Doc("b", 2)), 2);
   EXPECT_EQ(collection.size(), 2u);
-  EXPECT_EQ(collection.last_id(), 2);
 }
 
 Query ById(DocumentId id) { return Query().Eq("_id", Json(id)); }
@@ -28,10 +27,10 @@ Query ById(DocumentId id) { return Query().Eq("_id", Json(id)); }
 TEST(CollectionTest, FindById) {
   Collection collection("items");
   DocumentId id = collection.Insert(Doc("a", 7));
-  auto found = collection.FindOne(ById(id));
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found->Get("value")->AsInt(), 7);
-  EXPECT_FALSE(collection.FindOne(ById(999)).ok());
+  auto found = collection.Find(ById(id));
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].Get("value")->AsInt(), 7);
+  EXPECT_TRUE(collection.Find(ById(999)).empty());
 }
 
 TEST(CollectionTest, FindWithFilter) {
@@ -48,19 +47,19 @@ TEST(CollectionTest, FindWithFilter) {
 TEST(CollectionTest, FindRespectsLimit) {
   Collection collection("items");
   for (int64_t i = 0; i < 10; ++i) collection.Insert(Doc("x", i));
-  EXPECT_EQ(collection.Find(Query::All(), 3).size(), 3u);
-  EXPECT_EQ(collection.Find(Query::All()).size(), 10u);
+  EXPECT_EQ(collection.Find(Query(), 3).size(), 3u);
+  EXPECT_EQ(collection.Find(Query()).size(), 10u);
 }
 
 TEST(CollectionTest, FindOneAndCount) {
   Collection collection("items");
   collection.Insert(Doc("a", 1));
   collection.Insert(Doc("a", 2));
-  auto first = collection.FindOne(Query().Eq("kind", Json("a")));
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->Get("value")->AsInt(), 1);
-  EXPECT_EQ(collection.Count(Query().Eq("kind", Json("a"))), 2u);
-  EXPECT_FALSE(collection.FindOne(Query().Eq("kind", Json("z"))).ok());
+  auto first = collection.Find(Query().Eq("kind", Json("a")), 1);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].Get("value")->AsInt(), 1);
+  EXPECT_EQ(collection.Find(Query().Eq("kind", Json("a"))).size(), 2u);
+  EXPECT_TRUE(collection.Find(Query().Eq("kind", Json("z")), 1).empty());
 }
 
 TEST(CollectionTest, UpdateByIdMergesFields) {
@@ -71,12 +70,12 @@ TEST(CollectionTest, UpdateByIdMergesFields) {
   update["extra"] = Json("new");
   update["_id"] = Json(int64_t{999});  // Must be ignored.
   ASSERT_TRUE(collection.UpdateById(id, Json(std::move(update))).ok());
-  auto found = collection.FindOne(ById(id));
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found->Get("value")->AsInt(), 10);
-  EXPECT_EQ(found->Get("extra")->AsString(), "new");
-  EXPECT_EQ(found->Get("kind")->AsString(), "a");  // Untouched.
-  EXPECT_EQ(found->id(), id);                      // Id immutable.
+  auto found = collection.Find(ById(id));
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].Get("value")->AsInt(), 10);
+  EXPECT_EQ(found[0].Get("extra")->AsString(), "new");
+  EXPECT_EQ(found[0].Get("kind")->AsString(), "a");  // Untouched.
+  EXPECT_EQ(found[0].id(), id);                      // Id immutable.
 }
 
 TEST(CollectionTest, UpdateErrors) {
@@ -135,7 +134,7 @@ TEST(CollectionTest, RestorePreservesIdsAndAdvancesCounter) {
   auto document = Document::Parse(R"({"_id": 10, "kind": "restored"})");
   ASSERT_TRUE(document.ok());
   ASSERT_TRUE(collection.Restore(document.value()).ok());
-  EXPECT_TRUE(collection.FindOne(ById(10)).ok());
+  EXPECT_EQ(collection.Find(ById(10)).size(), 1u);
   EXPECT_EQ(collection.Insert(Doc("next", 1)), 11);
 }
 

@@ -59,9 +59,10 @@ TEST(ThreadPoolStressTest, ExceptionsFromConcurrentTasksAreAllCounted) {
   std::atomic<int64_t> completed{0};
   for (int i = 0; i < kTasks; ++i) {
     if (i % 4 == 0) {
-      pool.Schedule([] { throw std::runtime_error("stress failure"); });
+      ASSERT_TRUE(pool.TrySchedule(
+          [] { throw std::runtime_error("stress failure"); }));
     } else {
-      pool.Schedule([&completed] { completed.fetch_add(1); });
+      ASSERT_TRUE(pool.TrySchedule([&completed] { completed.fetch_add(1); }));
     }
   }
   pool.Wait();
@@ -166,10 +167,10 @@ TEST(MetricsStressTest, PipelineMetricsUnderThreadPoolLoad) {
   ThreadPool pool(4);
   constexpr int kTasks = 200;
   for (int i = 0; i < kTasks; ++i) {
-    pool.Schedule([&registry] {
+    ASSERT_TRUE(pool.TrySchedule([&registry] {
       ScopedTimer timer(registry, "stress/task_seconds");
       registry.GetCounter("stress/tasks").Increment();
-    });
+    }));
     if (i % 16 == 0) {
       Json snapshot = registry.ToJson();
       ASSERT_TRUE(snapshot.is_object());

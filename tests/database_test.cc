@@ -35,7 +35,7 @@ TEST(DatabaseTest, EnsureSchemaCreatesAllSixCollections) {
   Database db;
   db.EnsureAdaHealthSchema();
   for (const std::string& name : Schema::CollectionNames()) {
-    EXPECT_TRUE(db.Has(name)) << name;
+    EXPECT_TRUE(db.Get(name).ok()) << name;
   }
   EXPECT_EQ(db.CollectionNames().size(), 6u);
   // Idempotent.
@@ -64,8 +64,8 @@ TEST(DatabaseTest, SaveAndLoadRoundTrip) {
   EXPECT_EQ(reloaded.GetOrCreate(Schema::kFeedback).size(), 1u);
   EXPECT_EQ(reloaded.GetOrCreate(Schema::kDescriptors).size(), 1u);
   auto found = reloaded.GetOrCreate(Schema::kFeedback)
-                   .FindOne(Query().Eq("interest", Json("high")));
-  EXPECT_TRUE(found.ok());
+                   .Find(Query().Eq("interest", Json("high")));
+  EXPECT_EQ(found.size(), 1u);
 
   for (const std::string& name : Schema::CollectionNames()) {
     std::remove((directory + "/" + name + ".jsonl").c_str());

@@ -171,7 +171,7 @@ Matrix RandomFeatures(common::Rng& rng, size_t rows, size_t cols,
   Matrix features(rows, cols);
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < cols; ++c) {
-      if (kind != ValueKind::kDense && rng.Bernoulli(0.8)) continue;
+      if (kind != ValueKind::kDense && rng.UniformDouble() < 0.8) continue;
       switch (kind) {
         case ValueKind::kCounts:
           features.At(r, c) = static_cast<double>(1 + rng.Poisson(1.5));
@@ -207,7 +207,9 @@ std::vector<int32_t> RandomLabels(common::Rng& rng, const Matrix& features,
       key += features.At(r, c) * static_cast<double>(c + 1);
     }
     int64_t label = static_cast<int64_t>(std::floor(std::fabs(key) * 1.7));
-    if (rng.Bernoulli(0.2)) label = static_cast<int64_t>(rng.NextUint64() >> 1);
+    if (rng.UniformDouble() < 0.2) {
+      label = static_cast<int64_t>(rng.NextUint64() >> 1);
+    }
     labels[r] = static_cast<int32_t>(label % num_classes);
   }
   return labels;
@@ -327,7 +329,7 @@ TEST(DecisionTreeTest, FitsAsymmetricXorWithDepthTwo) {
   }
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(features, labels, 2).ok());
-  std::vector<int32_t> predicted = tree.PredictBatch(features);
+  std::vector<int32_t> predicted = test::PredictRows(tree, features);
   EXPECT_EQ(predicted, labels);
   EXPECT_GE(tree.depth(), 2);
 }
@@ -378,7 +380,7 @@ TEST(DecisionTreeTest, GeneralizesOnBlobs) {
       {{0.0, 0.0}, {6.0, 0.0}, {0.0, 6.0}}, 30, 0.7, 52);
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(train.points, train.labels, 3).ok());
-  std::vector<int32_t> predicted = tree.PredictBatch(test_set.points);
+  std::vector<int32_t> predicted = test::PredictRows(tree, test_set.points);
   int correct = 0;
   for (size_t i = 0; i < predicted.size(); ++i) {
     if (predicted[i] == test_set.labels[i]) ++correct;

@@ -60,7 +60,6 @@ TEST(FeedbackDocumentTest, SchemaFields) {
 
 TEST(EndGoalEngineTest, UntrainedPredictFails) {
   EndGoalEngine engine;
-  EXPECT_FALSE(engine.trained());
   EXPECT_FALSE(
       engine.PredictInterest(CohortFeatures(), EndGoal::kPatientGrouping)
           .ok());
@@ -88,8 +87,8 @@ TEST(EndGoalEngineTest, TrainingRequiresLabelDiversity) {
   feedback.Insert(MakeGoalFeedbackDocument(
       "d", "u", features, EndGoal::kResourcePlanning, Interest::kLow));
   EXPECT_TRUE(engine.TrainFromFeedback(feedback).ok());
-  EXPECT_TRUE(engine.trained());
-  EXPECT_EQ(engine.training_samples(), 3u);
+  EXPECT_TRUE(
+      engine.PredictInterest(features, EndGoal::kPatientGrouping).ok());
 }
 
 TEST(EndGoalEngineTest, LearnsPersonaPreferences) {
@@ -187,7 +186,8 @@ TEST(EndGoalEngineTest, ForeignDocumentsSkipped) {
       "d", "u", features, EndGoal::kResourcePlanning, Interest::kLow));
   EndGoalEngine engine;
   ASSERT_TRUE(engine.TrainFromFeedback(feedback).ok());
-  EXPECT_EQ(engine.training_samples(), 2u);
+  EXPECT_TRUE(
+      engine.PredictInterest(features, EndGoal::kPatientGrouping).ok());
 }
 
 TEST(EncodeExampleTest, OneHotGoalSuffix) {
@@ -195,7 +195,7 @@ TEST(EncodeExampleTest, OneHotGoalSuffix) {
   std::vector<double> example =
       EndGoalEngine::EncodeExample(features, EndGoal::kResourcePlanning);
   EXPECT_EQ(example.size(),
-            stats::MetaFeatures::FeatureNames().size() +
+            features.ToVector().size() +
                 static_cast<size_t>(kNumEndGoals));
   // Exactly one hot goal bit, at position 4.
   double hot_sum = 0.0;

@@ -5,11 +5,13 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -45,6 +47,15 @@ using common::RetryPolicy;
 using common::ScopedFailpoint;
 using common::Status;
 using common::StatusCode;
+
+/// The outcome a session recorded for `stage`, or nullptr.
+const core::StageOutcome* FindStage(const core::SessionResult& result,
+                                    std::string_view stage) {
+  for (const core::StageOutcome& outcome : result.stages) {
+    if (outcome.stage == stage) return &outcome;
+  }
+  return nullptr;
+}
 
 /// Every test starts and ends with a dormant registry: failpoints are
 /// process-global state and must not leak across tests.
@@ -119,9 +130,13 @@ TEST_F(FaultInjectionTest, ConfigureArmsFullSpec) {
                   .Configure("kdb.storage.write=error(UNAVAILABLE)*1; "
                              "session.optimizer=delay(1)@2")
                   .ok());
-  EXPECT_EQ(registry.ArmedPoints(),
-            (std::vector<std::string>{"kdb.storage.write",
-                                      "session.optimizer"}));
+  EXPECT_EQ(registry.Evaluate("kdb.storage.write").code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(registry.Evaluate("kdb.storage.write").ok());  // *1 spent.
+  EXPECT_TRUE(registry.Evaluate("session.optimizer").ok());
+  common::WallTimer timer;
+  EXPECT_TRUE(registry.Evaluate("session.optimizer").ok());  // @2 delays.
+  EXPECT_GE(timer.ElapsedSeconds(), 0.001);
   // A bad clause rejects the whole spec and pinpoints the clause.
   Status bad = registry.Configure("a=error(UNAVAILABLE);b=banana");
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
@@ -173,11 +188,13 @@ TEST_F(FaultInjectionTest, DelayTriggerSleepsAndReturnsOk) {
 }
 
 TEST_F(FaultInjectionTest, ScopedFailpointDisarmsOnDestruction) {
+  FailpointRegistry& registry = FailpointRegistry::Default();
   {
     ScopedFailpoint guard("scoped.p", OneShotError());
-    EXPECT_FALSE(FailpointRegistry::Default().ArmedPoints().empty());
+    EXPECT_FALSE(registry.Evaluate("scoped.p").ok());
   }
-  EXPECT_TRUE(FailpointRegistry::Default().ArmedPoints().empty());
+  { ScopedFailpoint unused("scoped.p", OneShotError()); }
+  EXPECT_TRUE(registry.Evaluate("scoped.p").ok());
 }
 
 // ---------------------------------------------------------------------
@@ -471,7 +488,7 @@ TEST_F(FaultInjectionTest, ThreadPoolTaskFailpointCountsFailedTask) {
   std::atomic<int> executed{0};
   common::ThreadPool pool(2);
   for (int i = 0; i < 8; ++i) {
-    pool.Schedule([&executed] { ++executed; });
+    ASSERT_TRUE(pool.TrySchedule([&executed] { ++executed; }));
   }
   pool.Wait();
   // The injected failure is accounted, but the task body still ran:
@@ -524,7 +541,7 @@ TEST_F(FaultInjectionSessionTest, TransientStageFailureIsRetriedToOk) {
                      OneShotError(StatusCode::kUnavailable));
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("characterize");
+  const core::StageOutcome* outcome = FindStage(*result, "characterize");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kOk);
   EXPECT_EQ(outcome->attempts, 2);
@@ -540,11 +557,15 @@ TEST_F(FaultInjectionSessionTest, NonEssentialStageDegradesRunStillOk) {
                      OneShotError(StatusCode::kInternal));
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("knowledge");
+  const core::StageOutcome* outcome = FindStage(*result, "knowledge");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   EXPECT_EQ(outcome->status.code(), StatusCode::kInternal);
-  EXPECT_EQ(result->CountStages(core::StageState::kDegraded), 1u);
+  EXPECT_EQ(std::count_if(result->stages.begin(), result->stages.end(),
+                          [](const core::StageOutcome& stage) {
+                            return stage.state == core::StageState::kDegraded;
+                          }),
+            1);
   EXPECT_NE(result->summary.find("resilience:"), std::string::npos);
 }
 
@@ -555,7 +576,7 @@ TEST_F(FaultInjectionSessionTest, PartialMiningDegradesToFullDataset) {
                      OneShotError(StatusCode::kInternal));
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("partial_mining");
+  const core::StageOutcome* outcome = FindStage(*result, "partial_mining");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   // Fallback: mine the full dataset.
@@ -595,7 +616,7 @@ TEST_F(FaultInjectionSessionTest, StoreStageDegradesWhenPersistFails) {
                                 .value();
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, options);
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("kdb_store");
+  const core::StageOutcome* outcome = FindStage(*result, "kdb_store");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   EXPECT_EQ(outcome->status.code(), StatusCode::kUnavailable);
@@ -616,7 +637,7 @@ TEST_F(FaultInjectionSessionTest, SessionPersistsKdbWhenDirectoryGiven) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(FileExists(options.persist_directory + "/" +
                          kdb::Schema::kKnowledgeItems + ".jsonl"));
-  const core::StageOutcome* outcome = result->FindStage("kdb_store");
+  const core::StageOutcome* outcome = FindStage(*result, "kdb_store");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kOk);
 }
@@ -626,7 +647,7 @@ TEST_F(FaultInjectionSessionTest, SkipsPatternMiningWithoutTaxonomy) {
   core::AnalysisSession session(&db);
   auto result = session.Run(cohort_.log, nullptr, FastOptions());
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("pattern_mining");
+  const core::StageOutcome* outcome = FindStage(*result, "pattern_mining");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kSkipped);
   EXPECT_EQ(outcome->attempts, 0);
@@ -641,7 +662,7 @@ TEST_F(FaultInjectionSessionTest, BudgetOverrunMarksStageDegraded) {
   options.resilience.stage_budget_seconds["optimizer"] = 1e-6;
   auto result = session.Run(cohort_.log, &cohort_.taxonomy, options);
   ASSERT_TRUE(result.ok());
-  const core::StageOutcome* outcome = result->FindStage("optimizer");
+  const core::StageOutcome* outcome = FindStage(*result, "optimizer");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->state, core::StageState::kDegraded);
   EXPECT_TRUE(outcome->over_budget);
@@ -907,7 +928,7 @@ TEST_F(FaultInjectionTest, IngestAppendFaultLeavesPriorGenerationReadable) {
                                                 IngestRow(1, "xray", 2)};
   std::vector<dataset::RawExamRecord> batch2 = {IngestRow(2, "mri", 3)};
   ASSERT_TRUE(store.Ingest("ward", batch1).ok());
-  const std::string committed = store.Snapshot("ward").value().ToCsv();
+  const std::string committed = store.BuildCohortJob("ward")->log.ToCsv();
 
   {
     ScopedFailpoint torn("service.ingest.append",
@@ -918,11 +939,11 @@ TEST_F(FaultInjectionTest, IngestAppendFaultLeavesPriorGenerationReadable) {
 
   // The failed batch never happened: generation 1 stays fully readable
   // in memory and from disk.
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 1);
-  EXPECT_EQ(store.Snapshot("ward").value().ToCsv(), committed);
+  EXPECT_EQ(store.BuildCohortJob("ward")->cohort_generation, 1);
+  EXPECT_EQ(store.BuildCohortJob("ward")->log.ToCsv(), committed);
   service::CohortStore reloaded(options);
-  EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 1);
-  EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), committed);
+  EXPECT_EQ(reloaded.BuildCohortJob("ward")->cohort_generation, 1);
+  EXPECT_EQ(reloaded.BuildCohortJob("ward")->log.ToCsv(), committed);
 
   // With the fault cleared the same batch commits cleanly.
   auto retried = store.Ingest("ward", batch2);
@@ -938,7 +959,7 @@ TEST_F(FaultInjectionTest, IngestSnapshotFaultRollsBackTheWholeBatch) {
   std::vector<dataset::RawExamRecord> batch1 = {IngestRow(0, "ecg", 1)};
   std::vector<dataset::RawExamRecord> batch2 = {IngestRow(1, "mri", 5)};
   ASSERT_TRUE(store.Ingest("ward", batch1).ok());
-  const std::string committed = store.Snapshot("ward").value().ToCsv();
+  const std::string committed = store.BuildCohortJob("ward")->log.ToCsv();
 
   {
     // The records hit disk but the manifest rename fails — the exact
@@ -949,15 +970,15 @@ TEST_F(FaultInjectionTest, IngestSnapshotFaultRollsBackTheWholeBatch) {
     EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
   }
 
-  EXPECT_EQ(store.Descriptors("ward").value().generation, 1);
-  EXPECT_EQ(store.Descriptors("ward").value().records, 1);
-  EXPECT_EQ(store.Snapshot("ward").value().ToCsv(), committed);
+  EXPECT_EQ(store.BuildCohortJob("ward")->cohort_generation, 1);
+  EXPECT_EQ(store.BuildCohortJob("ward")->log.num_records(), 1u);
+  EXPECT_EQ(store.BuildCohortJob("ward")->log.ToCsv(), committed);
   // A fresh store reads only the committed prefix: the appended but
   // never-manifested bytes are invisible.
   {
     service::CohortStore reloaded(options);
-    EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 1);
-    EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), committed);
+    EXPECT_EQ(reloaded.BuildCohortJob("ward")->cohort_generation, 1);
+    EXPECT_EQ(reloaded.BuildCohortJob("ward")->log.ToCsv(), committed);
   }
 
   // The next ingest truncates the residue and commits batch-atomically.
@@ -966,8 +987,8 @@ TEST_F(FaultInjectionTest, IngestSnapshotFaultRollsBackTheWholeBatch) {
   ASSERT_TRUE(direct.Append(batch1).ok());
   ASSERT_TRUE(direct.Append(batch2).ok());
   service::CohortStore reloaded(options);
-  EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), direct.ToCsv());
-  EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 2);
+  EXPECT_EQ(reloaded.BuildCohortJob("ward")->log.ToCsv(), direct.ToCsv());
+  EXPECT_EQ(reloaded.BuildCohortJob("ward")->cohort_generation, 2);
 }
 
 /// The manifest write's own crash points (kdb::AtomicWriteFile steps
@@ -985,7 +1006,7 @@ TEST_P(FaultInjectionManifestTest, PriorGenerationLoadsWithoutResidue) {
   std::vector<dataset::RawExamRecord> batch1 = {IngestRow(0, "ecg", 1)};
   std::vector<dataset::RawExamRecord> batch2 = {IngestRow(1, "mri", 5)};
   ASSERT_TRUE(store.Ingest("ward", batch1).ok());
-  const std::string committed = store.Snapshot("ward").value().ToCsv();
+  const std::string committed = store.BuildCohortJob("ward")->log.ToCsv();
 
   {
     ScopedFailpoint crash(GetParam(),
@@ -997,8 +1018,8 @@ TEST_P(FaultInjectionManifestTest, PriorGenerationLoadsWithoutResidue) {
   EXPECT_FALSE(FileExists(options.directory + "/ward.manifest.json.tmp"));
   {
     service::CohortStore reloaded(options);
-    EXPECT_EQ(reloaded.Descriptors("ward").value().generation, 1);
-    EXPECT_EQ(reloaded.Snapshot("ward").value().ToCsv(), committed);
+    EXPECT_EQ(reloaded.BuildCohortJob("ward")->cohort_generation, 1);
+    EXPECT_EQ(reloaded.BuildCohortJob("ward")->log.ToCsv(), committed);
   }
   auto retried = store.Ingest("ward", batch2);
   ASSERT_TRUE(retried.ok());

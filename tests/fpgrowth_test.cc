@@ -27,7 +27,7 @@ TransactionDb RandomDb(size_t num_transactions, size_t num_items,
   for (size_t t = 0; t < num_transactions; ++t) {
     std::vector<ItemId> transaction;
     for (size_t i = 0; i < num_items; ++i) {
-      if (rng.Bernoulli(item_probability)) {
+      if (rng.UniformDouble() < item_probability) {
         transaction.push_back(static_cast<ItemId>(i));
       }
     }

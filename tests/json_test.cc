@@ -11,7 +11,7 @@ namespace {
 
 TEST(JsonTest, DefaultIsNull) {
   Json value;
-  EXPECT_TRUE(value.is_null());
+  EXPECT_EQ(value.type(), Json::Type::kNull);
   EXPECT_EQ(value.Dump(), "null");
 }
 
@@ -29,7 +29,7 @@ TEST(JsonTest, IntIsAlsoNumericDouble) {
 }
 
 TEST(JsonParseTest, Scalars) {
-  EXPECT_TRUE(Json::Parse("null")->is_null());
+  EXPECT_EQ(Json::Parse("null")->type(), Json::Type::kNull);
   EXPECT_TRUE(Json::Parse("true")->AsBool());
   EXPECT_FALSE(Json::Parse("false")->AsBool());
   EXPECT_EQ(Json::Parse("-17")->AsInt(), -17);

@@ -66,8 +66,17 @@ TEST(MetaFeaturesTest, FromJsonToleratesMissingFields) {
 }
 
 TEST(MetaFeaturesTest, VectorMatchesNames) {
-  MetaFeatures features = ComputeMetaFeatures(MakeTinyLog());
-  EXPECT_EQ(features.ToVector().size(), MetaFeatures::FeatureNames().size());
+  // ToVector lays the named fields out in declaration order.
+  MetaFeatures f = ComputeMetaFeatures(MakeTinyLog());
+  EXPECT_EQ(f.ToVector(),
+            (std::vector<double>{static_cast<double>(f.num_patients),
+                                 static_cast<double>(f.num_exam_types),
+                                 static_cast<double>(f.num_records),
+                                 f.density, f.mean_records_per_patient,
+                                 f.stddev_records_per_patient,
+                                 f.exam_frequency_entropy,
+                                 f.exam_frequency_gini, f.top20_coverage,
+                                 f.top40_coverage, f.mean_patient_coverage}));
 }
 
 TEST(MetaFeaturesTest, SyntheticCohortIsSparse) {

@@ -26,7 +26,7 @@ TEST(RandomForestTest, GeneralizesOnHeldOut) {
       {{0.0, 0.0, 0.0}, {4.0, 0.0, 4.0}, {0.0, 4.0, 4.0}}, 40, 0.7, 114);
   RandomForestClassifier model;
   ASSERT_TRUE(model.Fit(train.points, train.labels, 3).ok());
-  std::vector<int32_t> predicted = model.PredictBatch(held_out.points);
+  std::vector<int32_t> predicted = test::PredictRows(model, held_out.points);
   int correct = 0;
   for (size_t i = 0; i < predicted.size(); ++i) {
     if (predicted[i] == held_out.labels[i]) ++correct;
@@ -53,7 +53,7 @@ TEST(RandomForestTest, BeatsSingleShallowTreeOnNoisyData) {
   ASSERT_TRUE(forest.Fit(train.points, train.labels, 2).ok());
 
   auto accuracy = [&](const Classifier& model) {
-    std::vector<int32_t> predicted = model.PredictBatch(held_out.points);
+    std::vector<int32_t> predicted = test::PredictRows(model, held_out.points);
     int correct = 0;
     for (size_t i = 0; i < predicted.size(); ++i) {
       if (predicted[i] == held_out.labels[i]) ++correct;
@@ -70,7 +70,8 @@ TEST(RandomForestTest, DeterministicForSeed) {
   RandomForestClassifier b;
   ASSERT_TRUE(a.Fit(train.points, train.labels, 2).ok());
   ASSERT_TRUE(b.Fit(train.points, train.labels, 2).ok());
-  EXPECT_EQ(a.PredictBatch(probe.points), b.PredictBatch(probe.points));
+  EXPECT_EQ(test::PredictRows(a, probe.points),
+            test::PredictRows(b, probe.points));
 }
 
 TEST(RandomForestTest, FeatureFractionOne) {

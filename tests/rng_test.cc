@@ -69,23 +69,6 @@ TEST(RngTest, UniformDoubleInUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
-TEST(RngTest, BernoulliEdgeProbabilities) {
-  Rng rng(17);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.Bernoulli(0.0));
-    EXPECT_TRUE(rng.Bernoulli(1.0));
-  }
-}
-
-TEST(RngTest, BernoulliFrequencyTracksP) {
-  Rng rng(19);
-  int hits = 0;
-  for (int i = 0; i < 10000; ++i) {
-    if (rng.Bernoulli(0.3)) ++hits;
-  }
-  EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
-}
-
 TEST(RngTest, NormalMomentsMatch) {
   Rng rng(23);
   double sum = 0.0;
@@ -170,17 +153,6 @@ TEST(RngTest, SampleWithoutReplacementFull) {
   std::vector<size_t> sample = rng.SampleWithoutReplacement(10, 10);
   std::set<size_t> distinct(sample.begin(), sample.end());
   EXPECT_EQ(distinct.size(), 10u);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(61);
-  Rng child = parent.Fork();
-  // The child stream should differ from the parent's continuation.
-  int differing = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextUint64() != child.NextUint64()) ++differing;
-  }
-  EXPECT_GT(differing, 60);
 }
 
 TEST(RngTest, SplitMix64KnownFirstOutputDiffersByState) {

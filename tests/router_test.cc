@@ -365,8 +365,13 @@ TEST(RouterTest, CohortIngestAndSubmitPinToTheOwningShard) {
   // never heard of the cohort.
   service::AnalysisServer& owning = owner == 0 ? *shard0 : *shard1;
   service::AnalysisServer& other = owner == 0 ? *shard1 : *shard0;
-  EXPECT_EQ(owning.cohort_store().num_cohorts(), 1u);
-  EXPECT_EQ(other.cohort_store().num_cohorts(), 0u);
+  auto cohorts_on = [](service::AnalysisServer& shard) -> int64_t {
+    auto stats = Connect(shard.port()).Call("stats");
+    if (!stats.ok()) return -1;
+    return stats->Find("ingest")->Find("cohorts")->AsInt();
+  };
+  EXPECT_EQ(cohorts_on(owning), 1);
+  EXPECT_EQ(cohorts_on(other), 0);
 
   // The delta submit follows the same key to where the data lives, and
   // its fingerprint is versioned with the snapshot generation.

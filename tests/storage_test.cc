@@ -33,11 +33,10 @@ TEST(StorageTest, SerializeDeserializeRoundTrip) {
       DeserializeCollection("test_items", SerializeCollection(original));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->size(), original.size());
-  EXPECT_EQ(restored->last_id(), original.last_id());
   for (const Document& document : original.documents()) {
-    auto found = restored->FindOne(Query().Eq("_id", Json(document.id())));
-    ASSERT_TRUE(found.ok());
-    EXPECT_EQ(found.value(), document);
+    auto found = restored->Find(Query().Eq("_id", Json(document.id())));
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0], document);
   }
 }
 
@@ -48,7 +47,8 @@ TEST(StorageTest, InsertAfterReloadContinuesIds) {
   ASSERT_TRUE(restored.ok());
   Document fresh;
   fresh.Set("value", Json(int64_t{99}));
-  EXPECT_EQ(restored->Insert(std::move(fresh)), original.last_id() + 1);
+  EXPECT_EQ(restored->Insert(std::move(fresh)),
+            original.documents().back().id() + 1);
 }
 
 TEST(StorageTest, BlankLinesTolerated) {
@@ -111,8 +111,9 @@ TEST(StorageTest, SalvageRecoversPrefixBeforeTornFinalLine) {
   EXPECT_EQ(salvaged.dropped_lines, 1u);
   EXPECT_EQ(salvaged.detail.code(), common::StatusCode::kDataLoss);
   // IDs survive, so inserts after recovery do not collide.
-  EXPECT_TRUE(
-      salvaged.collection.FindOne(Query().Eq("_id", Json(int64_t{2}))).ok());
+  EXPECT_EQ(
+      salvaged.collection.Find(Query().Eq("_id", Json(int64_t{2}))).size(),
+      1u);
 }
 
 TEST(StorageTest, SalvageOfEmptyFileIsEmptyCollection) {

@@ -28,40 +28,25 @@ TEST(MutexTest, ExcludesConcurrentCriticalSections) {
   EXPECT_EQ(counter, 40000);
 }
 
-TEST(MutexTest, TryLockFailsWhileHeldAndSucceedsAfterRelease) {
-  Mutex mutex;
-  mutex.Lock();
-  std::atomic<bool> acquired{true};
-  // try_lock from the owning thread is UB on std::mutex; probe from
-  // another thread.
-  std::thread prober([&] { acquired.store(mutex.TryLock()); });
-  prober.join();
-  EXPECT_FALSE(acquired.load());
-  mutex.Unlock();
-  ASSERT_TRUE(mutex.TryLock());
-  mutex.Unlock();
-}
-
 TEST(MutexLockTest, ManualUnlockReleasesAndRelockReacquires) {
   Mutex mutex;
   {
     MutexLock lock(&mutex);
     lock.Unlock();
-    // The mutex is genuinely free while dropped.
+    // The mutex is genuinely free while dropped: another thread can
+    // take it (a held mutex would block the prober, and the join).
     std::atomic<bool> acquired{false};
     std::thread prober([&] {
-      if (mutex.TryLock()) {
-        acquired.store(true);
-        mutex.Unlock();
-      }
+      MutexLock probe(&mutex);
+      acquired.store(true);
     });
     prober.join();
     EXPECT_TRUE(acquired.load());
     lock.Lock();
   }
   // Destructor released the re-acquired mutex.
-  ASSERT_TRUE(mutex.TryLock());
-  mutex.Unlock();
+  std::thread prober([&] { MutexLock probe(&mutex); });
+  prober.join();
 }
 
 TEST(MutexLockTest, DestructorAfterManualUnlockDoesNotDoubleRelease) {
@@ -70,8 +55,8 @@ TEST(MutexLockTest, DestructorAfterManualUnlockDoesNotDoubleRelease) {
     MutexLock lock(&mutex);
     lock.Unlock();
   }  // Destructor must observe the released state (held_ == false).
-  ASSERT_TRUE(mutex.TryLock());
-  mutex.Unlock();
+  std::thread prober([&] { MutexLock probe(&mutex); });
+  prober.join();
 }
 
 TEST(CondVarTest, PredicateWaitObservesNotifiedState) {

@@ -55,25 +55,25 @@ TEST(TaxonomyTest, Levels) {
 
 TEST(TaxonomyTest, Parents) {
   Taxonomy taxonomy = MakeTaxonomy();
-  EXPECT_EQ(taxonomy.ParentOf(0), taxonomy.GroupNode(0));
-  EXPECT_EQ(taxonomy.ParentOf(2), taxonomy.GroupNode(1));
-  EXPECT_EQ(taxonomy.ParentOf(taxonomy.GroupNode(1)),
-            taxonomy.CategoryNode(1));
-  EXPECT_EQ(taxonomy.ParentOf(taxonomy.CategoryNode(0)), -1);
+  EXPECT_EQ(taxonomy.GroupOfLeaf(0), 0);
+  EXPECT_EQ(taxonomy.GroupOfLeaf(2), 1);
+  EXPECT_EQ(taxonomy.CategoryOfGroup(1), 1);
+  EXPECT_EQ(taxonomy.CategoryOfLeaf(2), taxonomy.CategoryOfGroup(1));
 }
 
 TEST(TaxonomyTest, LeavesUnder) {
-  // The leaves under a node are the leaves whose ParentOf chain
+  // The leaves under a node are the leaves whose parent chain
   // (leaf -> group -> category) passes through it.
   Taxonomy taxonomy = MakeTaxonomy();
   auto leaves_under = [&](TaxonomyNodeId node) {
     std::vector<ExamTypeId> leaves;
     for (size_t e = 0; e < taxonomy.num_leaves(); ++e) {
-      TaxonomyNodeId ancestor = static_cast<TaxonomyNodeId>(e);
-      while (ancestor >= 0 && ancestor != node) {
-        ancestor = taxonomy.ParentOf(ancestor);
+      const ExamTypeId leaf = static_cast<ExamTypeId>(e);
+      if (node == leaf ||
+          node == taxonomy.GroupNode(taxonomy.GroupOfLeaf(leaf)) ||
+          node == taxonomy.CategoryNode(taxonomy.CategoryOfLeaf(leaf))) {
+        leaves.push_back(leaf);
       }
-      if (ancestor == node) leaves.push_back(static_cast<ExamTypeId>(e));
     }
     return leaves;
   };

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ml/classifier.h"
 #include "transform/matrix.h"
 
 namespace adahealth {
@@ -36,6 +37,16 @@ inline Blobs MakeBlobs(const std::vector<std::vector<double>>& centers,
     }
   }
   return blobs;
+}
+
+/// The label `model` predicts for each row of `features`.
+inline std::vector<int32_t> PredictRows(const ml::Classifier& model,
+                                        const transform::Matrix& features) {
+  std::vector<int32_t> labels(features.rows());
+  for (size_t i = 0; i < features.rows(); ++i) {
+    labels[i] = model.Predict(features.Row(i));
+  }
+  return labels;
 }
 
 /// Fraction of point pairs on which two labelings agree about being in

@@ -21,7 +21,7 @@ TEST(ThreadPoolTest, RunsScheduledTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
+    ASSERT_TRUE(pool.TrySchedule([&counter] { counter.fetch_add(1); }));
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 100);
@@ -38,7 +38,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   {
     ThreadPool pool(2);
     for (int i = 0; i < 50; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
+      ASSERT_TRUE(pool.TrySchedule([&counter] { counter.fetch_add(1); }));
     }
   }
   EXPECT_EQ(counter.load(), 50);
@@ -51,10 +51,10 @@ TEST(ThreadPoolTest, DestructorDrainsSlowTasks) {
   {
     ThreadPool pool(2);
     for (int i = 0; i < 20; ++i) {
-      pool.Schedule([&counter] {
+      ASSERT_TRUE(pool.TrySchedule([&counter] {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         counter.fetch_add(1);
-      });
+      }));
     }
   }
   EXPECT_EQ(counter.load(), 20);
@@ -63,9 +63,9 @@ TEST(ThreadPoolTest, DestructorDrainsSlowTasks) {
 TEST(ThreadPoolTest, ThrowingTaskDoesNotKillWorkerOrDeadlockWait) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.Schedule([] { throw std::runtime_error("boom"); });
+  ASSERT_TRUE(pool.TrySchedule([] { throw std::runtime_error("boom"); }));
   for (int i = 0; i < 50; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
+    ASSERT_TRUE(pool.TrySchedule([&counter] { counter.fetch_add(1); }));
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 50);
@@ -75,7 +75,7 @@ TEST(ThreadPoolTest, ThrowingTaskDoesNotKillWorkerOrDeadlockWait) {
 
 TEST(ThreadPoolTest, NonStdExceptionIsRecordedAsUnknown) {
   ThreadPool pool(1);
-  pool.Schedule([] { throw 42; });
+  ASSERT_TRUE(pool.TrySchedule([] { throw 42; }));
   pool.Wait();
   EXPECT_EQ(pool.failed_tasks(), 1u);
   EXPECT_EQ(pool.first_failure_message(), "unknown exception");
@@ -83,8 +83,8 @@ TEST(ThreadPoolTest, NonStdExceptionIsRecordedAsUnknown) {
 
 TEST(ThreadPoolTest, FirstFailureMessageIsKept) {
   ThreadPool pool(1);  // Single worker makes failure order deterministic.
-  pool.Schedule([] { throw std::runtime_error("first"); });
-  pool.Schedule([] { throw std::runtime_error("second"); });
+  ASSERT_TRUE(pool.TrySchedule([] { throw std::runtime_error("first"); }));
+  ASSERT_TRUE(pool.TrySchedule([] { throw std::runtime_error("second"); }));
   pool.Wait();
   EXPECT_EQ(pool.failed_tasks(), 2u);
   EXPECT_EQ(pool.first_failure_message(), "first");
@@ -117,7 +117,7 @@ TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
   for (int i = 0; i < 10; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
+    ASSERT_TRUE(pool.TrySchedule([&counter] { counter.fetch_add(1); }));
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 10);

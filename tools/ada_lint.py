@@ -78,10 +78,14 @@ Rules
                     analysis (the ADA_THREAD_SAFETY build gate) sees
                     every critical section; one raw lock is a silent
                     hole in the compile-time race check.
-  test-only-api     A function declared at namespace scope in a
+  test-only-api     A function declared at namespace scope, or a member
+                    function declared in a class or struct body, in a
                     src/**/*.h whose name, outside tests/, appears only
                     where a function of that name is declared or
                     defined: code that only its own unit test reaches.
+                    Constructors, destructors, operators and overrides
+                    are never flagged (an override's declaration still
+                    counts as a declaration of the name, not a use).
                     Callers are always read from src/, tools/, bench/,
                     examples/ and perfbench/ under the repo root,
                     whatever paths are given (perfbench/ is only read).
@@ -91,6 +95,8 @@ Rules
                     for a reference implementation that tests check the
                     real code against, or `...: test hook ...` for an
                     API that exists for tests to drive the system.
+                    tools/test_ada_lint.py tests the rule on fixture
+                    trees.
 
 An individual finding can be waived with a trailing comment
 `// ada-lint: allow(<rule>)` on the offending line (for test-only-api,
@@ -411,6 +417,9 @@ NOT_A_FUNCTION_NAME = {
     "long", "noexcept", "operator", "short", "signed", "sizeof", "unsigned",
     "void", "volatile",
 }
+CLASS_HEAD_RE = re.compile(r"^(class|struct|union)\b")
+ACCESS_SPECIFIERS = ("public", "protected", "private")
+OVERRIDE_RE = re.compile(r"\)[^(]*\b(override|final)\b")
 TEST_ONLY_WAIVER_RE = re.compile(
     r"ada-lint:\s*allow\(test-only-api\):?\s*(reference|test hook)\b",
     re.IGNORECASE)
@@ -472,50 +481,92 @@ def function_name_of(chars):
     return name, line, column, m.group(1) is not None
 
 
-def namespace_scope_functions(code_lines):
-    """Yields (name, line, column, qualified, first_line) for every
-    function declared or defined at namespace scope in one file.
+def class_name_of(head):
+    """Names the class a `class`/`struct`/`union` head opens, or None.
+
+    The name is the last identifier before the base clause, after
+    dropping `final` and any attribute macro (`class ADA_CAPABILITY("")
+    Mutex`).
+    """
+    head = re.split(r"(?<!:):(?!:)", strip_template_prefix(head), 1)[0]
+    if not CLASS_HEAD_RE.match(head):
+        return None
+    names = [n for n in IDENTIFIER_RE.findall(head)
+             if n not in ("class", "struct", "union", "final")]
+    return names[-1] if names else None
+
+
+def declared_functions(code_lines):
+    """Yields (name, line, column, qualified, first_line, member) for
+    every function declared or defined at namespace scope or in a class
+    body that only namespaces and classes enclose, in one file.
+
+    `member` is None at namespace scope. In a class body it is True for
+    a member the test-only-api rule may flag and False for one it skips:
+    a constructor, a destructor or an `override`. Operators are never
+    yielded.
 
     A brace-matching walk over comment-free code: a statement is
-    collected while every enclosing brace is a namespace's, and ends at
-    `;` (a declaration) or at the `{` that opens a body (a definition,
-    or a class/enum body, which function_name_of rejects). Braces inside
-    a parameter list (default `{}` arguments) do not open bodies.
+    collected while every enclosing brace is a namespace's or a
+    class's, and ends at `;` (a declaration) or at the `{` that opens a
+    body (a definition, or a class/enum body, which function_name_of
+    rejects). Braces inside a parameter list (default `{}` arguments)
+    do not open bodies, and access specifiers start a new statement.
     """
-    stack = []  # True for a namespace brace, False for any other.
+    # One entry per open brace: "namespace", a class name, or None for
+    # any other brace (a function body, an enum, an initializer).
+    stack = []
     statement = []
     paren = 0
     continued_directive = False
+
+    def scanned():
+        return all(s is not None for s in stack)
+
     for lineno, code in enumerate(code_lines, start=1):
         if continued_directive or code.lstrip().startswith("#"):
             continued_directive = code.rstrip().endswith("\\")
             continue
-        at_namespace_scope = all(stack)
+        in_scope = scanned()
         for column, c in enumerate(code):
-            if not at_namespace_scope:
+            if not in_scope:
                 if c == "{":
-                    stack.append(False)
+                    stack.append(None)
                 elif c == "}":
                     stack.pop()
-                    at_namespace_scope = all(stack)
+                    in_scope = scanned()
                     statement, paren = [], 0
                 continue
             if c == "(":
                 paren += 1
             elif c == ")":
                 paren -= 1
+            elif (paren == 0 and c == ":" and stack
+                  and stack[-1] != "namespace"
+                  and "".join(ch for ch, _, _ in statement).strip()
+                  in ACCESS_SPECIFIERS):
+                statement = []
+                continue
             elif paren == 0 and c in ";{":
+                head = "".join(ch for ch, _, _ in statement).strip()
                 found = function_name_of(statement)
                 if found is not None:
                     first_line = next(
                         (ln for ch, ln, _ in statement if not ch.isspace()),
                         lineno)
-                    yield found + (first_line,)
+                    member = None
+                    if stack and stack[-1] != "namespace":
+                        # A constructor or destructor is named after
+                        # its class.
+                        member = (found[0] != stack[-1]
+                                  and OVERRIDE_RE.search(head) is None)
+                    yield found + (first_line, member)
                 if c == "{":
-                    head = "".join(ch for ch, _, _ in statement).strip()
-                    is_namespace = NAMESPACE_HEAD_RE.match(head) is not None
-                    stack.append(is_namespace)
-                    at_namespace_scope = is_namespace
+                    if NAMESPACE_HEAD_RE.match(head):
+                        stack.append("namespace")
+                    else:
+                        stack.append(class_name_of(head))
+                    in_scope = scanned()
                 statement, paren = [], 0
                 continue
             elif paren == 0 and c == "}":
@@ -539,9 +590,9 @@ def read_code_lines(path):
 
 
 def lint_test_only_api(linted_files):
-    """Flags functions declared at namespace scope in a src/ header
-    whose name, outside tests/, appears only where a function of that
-    name is declared or defined.
+    """Flags functions declared at namespace scope or as class members
+    in a src/ header whose name, outside tests/, appears only where a
+    function of that name is declared or defined.
     """
     caller_files = collect_files(
         [os.path.join(REPO_ROOT, d) for d in CALLER_DIRS])
@@ -552,11 +603,11 @@ def lint_test_only_api(linted_files):
         rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
         raw_lines, code_lines = read_code_lines(path)
         code_by_file[rel] = code_lines
-        for name, line, column, qualified, first in namespace_scope_functions(
-                code_lines):
+        for name, line, column, qualified, first, member in (
+                declared_functions(code_lines)):
             sites.add((rel, line, column))
             if (rel.startswith("src" + os.sep) and rel.endswith(".h")
-                    and not qualified):
+                    and not qualified and member is not False):
                 candidates.append((rel, raw_lines, name, line, first))
 
     uses = set()

@@ -2,9 +2,10 @@
 # Local pre-submit checks for ADA-HEALTH.
 #
 # Usage:
-#   tools/run_checks.sh            # lint + perfbench unit tests +
+#   tools/run_checks.sh            # lint + lint/perfbench unit tests +
 #                                  # warnings-as-errors build + tests
-#   tools/run_checks.sh --quick    # lint + perfbench unit tests (no build)
+#   tools/run_checks.sh --quick    # lint + lint/perfbench unit tests
+#                                  # (no build)
 #   tools/run_checks.sh --tidy     # additionally run clang-tidy (needs the
 #                                  # clang-tidy binary on PATH)
 #
@@ -30,11 +31,14 @@ done
 echo "== ada_lint =="
 python3 tools/ada_lint.py src/ tests/ bench/ tools/ examples/
 
+echo "== ada_lint self-test =="
+python3 -m unittest discover -s tools -p 'test_*.py'
+
 echo "== perfbench unit tests =="
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 if [[ "${QUICK}" == "1" ]]; then
-  echo "run_checks: lint and perfbench tests clean (quick mode, skipping build)"
+  echo "run_checks: lint and unit tests clean (quick mode, skipping build)"
   exit 0
 fi
 
